@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time the plane-graph list-colouring engine across instance sizes.
 
-The engine is expected to stay near-linear: each recursion either colours
-a vertex outright or splits along a chord, and chords are found from the
-smaller side.  Example:
+Each recursion step either colours a vertex outright or splits along a
+chord.  The engine is not near-linear: every chord split recomputes the
+sides of the chord over all faces, which makes it roughly quadratic, and
+the recursion is one Python frame per step, so large grids (35x35 and up)
+hit RecursionError.  Example:
 
     python3 scripts/bench_thomassen.py --sizes 50 100 200 400 800
 """

@@ -4,14 +4,19 @@ A drawing is a graph plus a list of crossing pairs.  Planarizing replaces
 each crossing by a degree-4 vertex appended after the real ids (crossing
 ``i`` becomes vertex ``n + i``).  When an edge is crossed twice the sequence
 of the two crossing points along the edge is not recorded in the input, so
-both orders are tried and the first that embeds wins.
+both orders are tried and the first that embeds wins.  No edge may be
+crossed more than twice.
+
+A sub-drawing on fewer real vertices is read off an existing embedding by
+:func:`restrict_plane` rather than embedded again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInstanceError
 from .graphs import Edge, Graph, norm_edge
@@ -40,12 +45,10 @@ class CrossingPair:
     def edges(self) -> tuple[Edge, Edge]:
         return (self.a, self.b)
 
-    def involves(self, e: tuple[int, int]) -> bool:
-        return norm_edge(*e) in (self.a, self.b)
-
 
 def validate_drawing(g: Graph, crossings: Sequence[CrossingPair]) -> None:
     seen = set()
+    times: Counter = Counter()
     for i, cr in enumerate(crossings):
         for e in cr.edges:
             if not g.has_edge(*e):
@@ -57,6 +60,12 @@ def validate_drawing(g: Graph, crossings: Sequence[CrossingPair]) -> None:
         if (cr.a, cr.b) in seen:
             raise InvalidInstanceError(f"crossing {i} repeats an earlier pair")
         seen.add((cr.a, cr.b))
+        times.update(cr.edges)
+        for e in cr.edges:
+            if times[e] > 2:
+                raise InvalidInstanceError(
+                    f"crossing {i}: edge {e} is crossed more than twice"
+                )
 
 
 @dataclass(frozen=True)
@@ -117,47 +126,51 @@ def planarize(g: Graph, crossings: Sequence[CrossingPair]) -> PlaneGraph | None:
     return None
 
 
-def far_end(pg: PlaneGraph, v: int, dummy: int) -> int:
-    """Real far endpoint of the crossed edge whose curve leaves ``v`` toward ``dummy``."""
-    cr = pg.crossing_of(dummy)
-    for u, w in cr.edges:
-        if v == u:
-            return w
-        if v == w:
-            return u
-    raise AssertionError(f"vertex {v} is not an endpoint of crossing {cr}")
+def restrict_plane(pg: PlaneGraph, real: Graph, order: Sequence[int]) -> PlaneGraph:
+    """The drawing restricted to the real vertices ``order``.
 
-
-def restrict_plane(
-    pg: PlaneGraph, removed: Iterable[int]
-) -> tuple[Graph, tuple[int, ...], Rotation] | None:
-    """Plane embedding of the real graph minus ``removed``.
-
-    Returns ``(subgraph, new->old order, rotation)``.  Fails (None) exactly
-    when some crossing keeps both of its edges, since the remainder then
-    still is not plane.  Dummy slots in a surviving vertex's rotation are
-    rewired to the far endpoint of the crossed edge, which preserves the
-    cyclic order the curves had around the vertex.
+    ``real, order`` is ``pg.real.induced(keep)`` for the kept vertices; the
+    result shares ``real``.  Nothing is re-embedded: every surviving curve
+    keeps its place.  Deleted vertices take their edge curves with them.  A
+    crossing whose four endpoints all survive keeps its dummy, renumbered
+    ``n_child + i`` for its index ``i`` among the surviving crossings.  A
+    crossing that loses one edge is smoothed: the surviving curve runs
+    straight through the dummy (two slots on in its rotation).  A crossing
+    that loses both disappears.  An edge crossed twice therefore keeps its
+    order of crossing points.
     """
-    dead = set(removed)
-    assert all(0 <= v < pg.real.n for v in dead)
-    for cr in pg.crossings:
-        if all(u not in dead and w not in dead for u, w in cr.edges):
-            return None
-    keep = [v for v in range(pg.real.n) if v not in dead]
-    sub, order = pg.real.induced(keep)
     back = {old: new for new, old in enumerate(order)}
+    kept = list(order)  # old ids of the child's planar vertices, in new order
+    crossings: list[CrossingPair] = []
+    for i, cr in enumerate(pg.crossings):
+        (a0, a1), (b0, b1) = cr.edges
+        if all(v in back for v in (a0, a1, b0, b1)):
+            back[pg.dummy(i)] = len(kept)
+            kept.append(pg.dummy(i))
+            crossings.append(
+                CrossingPair.make((back[a0], back[a1]), (back[b0], back[b1]))
+            )
+    rot = pg.rotation
+
+    def reach(x: int, y: int) -> int | None:
+        # follow the curve from x through y past dropped dummies
+        while y not in back and pg.is_dummy(y):
+            r = rot[y]
+            x, y = y, r[(r.index(x) + 2) % 4]
+        return back.get(y)
+
     rows = []
-    for old in order:
-        row = []
-        for s in pg.rotation[old]:
-            w = far_end(pg, old, s) if pg.is_dummy(s) else s
-            if w not in dead:
-                row.append(back[w])
-        rows.append(tuple(row))
-    rot: Rotation = tuple(rows)
-    check_euler(sub, rot)
-    return sub, order, rot
+    for x in kept:
+        ends = (reach(x, y) for y in rot[x])
+        rows.append(tuple(z for z in ends if z is not None))
+    rotation: Rotation = tuple(rows)
+    planar = real
+    if crossings:
+        planar = Graph.from_edges(
+            len(kept), [(u, z) for u, row in enumerate(rows) for z in row if u < z]
+        )
+    check_euler(planar, rotation)
+    return PlaneGraph(real, planar, rotation, tuple(crossings))
 
 
 @dataclass(frozen=True)
@@ -167,11 +180,6 @@ class CycleSides:
     cycle: tuple[int, ...]
     side_a: frozenset  # vertices strictly on the side of face((c0, c1))
     side_b: frozenset
-    _edge_side: dict
-
-    def edge_side(self, u: int, v: int) -> int:
-        """0 or 1 for an edge not on the cycle."""
-        return self._edge_side[norm_edge(u, v)]
 
     def vertex_side(self, v: int) -> int | None:
         """0/1 for strict-side vertices, None for cycle vertices."""
@@ -222,9 +230,4 @@ def cycle_sides(planar: Graph, rotation: Rotation, cycle: Sequence[int]) -> Cycl
         tgt = side_a if find(f) == root_a else side_b
         tgt.update(v for v in w if v not in on_c)
     assert not (side_a & side_b), "vertex appears strictly on both sides"
-
-    edge_side = {}
-    for u, v in planar.edges:
-        if (u, v) not in cedges:
-            edge_side[(u, v)] = 0 if find(fidx[(u, v)]) == root_a else 1
-    return CycleSides(tuple(cycle), frozenset(side_a), frozenset(side_b), edge_side)
+    return CycleSides(tuple(cycle), frozenset(side_a), frozenset(side_b))

@@ -40,6 +40,15 @@ class PipelineIncompleteError(RuntimeError):
     """The constructive pipeline punted and fallback was disabled."""
 
 
+class InvalidColoringError(AssertionError):
+    """A colouring the package built failed its own validation.
+
+    Raised explicitly rather than by ``assert``, so the check also runs
+    under ``python -O``; it is an AssertionError so existing handlers for
+    internal faults still catch it.
+    """
+
+
 class TheoremViolationError(AssertionError):
     """A mode-valid instance admitted no coloring at all.
 

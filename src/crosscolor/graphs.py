@@ -176,21 +176,6 @@ def biconnected_blocks(g: Graph) -> tuple[list[list[Edge]], set[int]]:
     return blocks, cuts
 
 
-def bfs_dist(g: Graph, src: int, forbidden: frozenset = frozenset()) -> list[int]:
-    """Hop distances from ``src`` avoiding ``forbidden`` vertices (-1 if cut off)."""
-    dist = [-1] * g.n
-    if src in forbidden:
-        return dist
-    dist[src] = 0
-    q = [src]
-    for u in q:
-        for w in g.adj[u]:
-            if dist[w] == -1 and w not in forbidden:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------

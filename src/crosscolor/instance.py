@@ -11,16 +11,27 @@ with :func:`make_instance` -- the solver routes such instances straight to
 the exhaustive fallback.  The JSON parser is stricter: files are the
 solver's front door, so out-of-shape documents are rejected outright
 (drawability is the one thing it leaves to the lazy planarization).
+
+A root instance embeds its planarization on first use.  A sub-instance
+from :func:`induced_instance` instead inherits its parent's drawing: its
+``plane`` is the parent's restricted to the kept vertices, so one solve
+embeds once however many deletion children it builds.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .drawing import CrossingPair, PlaneGraph, planarize, validate_drawing
+from .drawing import (
+    CrossingPair,
+    PlaneGraph,
+    planarize,
+    restrict_plane,
+    validate_drawing,
+)
 from .errors import InvalidInstanceError
 from .graphs import Graph
 
@@ -33,6 +44,10 @@ class Instance:
     crossings: tuple[CrossingPair, ...]
     lists: tuple[frozenset, ...]
     triangle: tuple[int, int, int] | None = None
+    # (parent, new->old order) when built by induced_instance
+    _drawn_in: tuple["Instance", tuple[int, ...]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def n(self) -> int:
@@ -40,14 +55,15 @@ class Instance:
 
     @cached_property
     def plane(self) -> PlaneGraph | None:
-        """Embedded planarization, or None when the crossing set is undrawable."""
-        return planarize(self.graph, self.crossings)
+        """Embedded planarization, or None when the crossing set is undrawable.
 
-    def with_lists(self, lists: Mapping[int, Iterable[int]]) -> "Instance":
-        new = list(self.lists)
-        for v, colors in lists.items():
-            new[v] = frozenset(colors)
-        return replace(self, lists=tuple(new))
+        Restricted from the parent's drawing when there is one to inherit.
+        """
+        if self._drawn_in is not None:
+            parent, order = self._drawn_in
+            if parent.plane is not None:
+                return restrict_plane(parent.plane, self.graph, order)
+        return planarize(self.graph, self.crossings)
 
 
 def make_instance(
@@ -217,7 +233,8 @@ def induced_instance(
 
     A crossing survives only if both of its edges do; a crossing that loses
     an edge loses its crossing point with it.  ``lists`` entries (old ids)
-    override the inherited lists; ``triangle`` is given in old ids.
+    override the inherited lists; ``triangle`` is given in old ids.  The
+    child's drawing, when read, is restricted from ``inst``'s.
     """
     sub, order = inst.graph.induced(keep)
     back = {old: new for new, old in enumerate(order)}
@@ -239,4 +256,4 @@ def induced_instance(
     child = make_instance(
         sub.n, sub.edges, new_lists, [(c.a, c.b) for c in crs], tri
     )
-    return child, order
+    return replace(child, _drawn_in=(inst, order)), order

@@ -3,9 +3,12 @@
 The embedder is the classical face-by-face insertion scheme: embed a cycle,
 then repeatedly place a path of some remaining fragment into a face whose
 boundary contains all of the fragment's attachment vertices, preferring
-fragments that have exactly one admissible face.  It is quadratic-ish, which
-is perfectly fine at the sizes this package works with, and unlike the usual
-linear-time algorithms it produces the rotation system almost for free.
+fragments that have exactly one admissible face.  Unlike the usual
+linear-time algorithms it produces the rotation system almost for free, but
+it is roughly cubic: a stacked triangulation takes about 0.1 s at n=100 and
+8 s at n=400.  The solver therefore embeds a drawing once; sub-instances
+that only delete vertices restrict that embedding
+(:func:`crosscolor.drawing.restrict_plane`) instead of calling the embedder.
 
 An embedding is represented as a rotation system: ``rotation[v]`` is the
 cyclic order of neighbours around ``v``.  Face tracing follows the rule

@@ -65,10 +65,6 @@ def _crossed_edges(inst: Instance) -> set[tuple[int, int]]:
     return {e for cr in inst.crossings for e in cr.edges}
 
 
-def find_applicable_reduction(inst: Instance) -> ReductionStep | None:
-    return next(iter_reduction_steps(inst), None)
-
-
 def iter_reduction_steps(inst: Instance) -> Iterator[ReductionStep]:
     """All rule candidates, in the fixed (rule, parameter) scan order."""
     yield from _r1_low_degree(inst)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .endgame import endgame_color
 from .errors import (
+    InvalidColoringError,
     PipelineIncompleteError,
     RuleInapplicable,
     TheoremViolationError,
@@ -80,7 +81,8 @@ def solve(
         stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     if phi is not None:
         bad = validate_coloring(inst.graph, inst.lists, phi)
-        assert not bad, f"solver produced a bad colouring: {bad}"
+        if bad:
+            raise InvalidColoringError(f"solver produced a bad colouring: {bad}")
     return phi, stats
 
 
@@ -120,7 +122,10 @@ def _solve(
         except (RuleInapplicable, PipelineIncompleteError):
             continue
         bad = validate_coloring(inst.graph, inst.lists, phi)
-        assert not bad, f"{step.rule}{step.params} recombined badly: {bad}"
+        if bad:
+            raise InvalidColoringError(
+                f"{step.rule}{step.params} recombined badly: {bad}"
+            )
         stats.rules[step.rule] += 1
         stats.steps_applied += 1
         return phi
@@ -130,7 +135,8 @@ def _solve(
         phi = endgame_color(work, stats.endgame)
         if phi is not None:
             bad = validate_coloring(inst.graph, inst.lists, phi)
-            assert not bad, f"endgame recombined badly: {bad}"
+            if bad:
+                raise InvalidColoringError(f"endgame recombined badly: {bad}")
             return phi
 
     return _fallback(inst, stats, use_fallback, budget)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .drawing import PlaneGraph, cycle_sides, restrict_plane
-from .errors import TaskPreconditionError
+from .errors import InvalidColoringError, TaskPreconditionError
 from .graphs import Graph, biconnected_blocks, components, norm_edge
 from .oracle import validate_coloring
 from .planarity import Rotation, check_euler, face_walks
@@ -113,7 +113,10 @@ def thomassen_color(task: BoundaryTask) -> Coloring:
             b = min(eng.graph_adj(a, scope))
             eng.color_component(scope, a, b)
     bad = validate_coloring(task.graph, task.lists, eng.phi)
-    assert not bad, f"boundary recursion produced an invalid colouring: {bad}"
+    if bad:
+        raise InvalidColoringError(
+            f"boundary recursion produced an invalid colouring: {bad}"
+        )
     return eng.phi
 
 
@@ -403,7 +406,8 @@ def observation_extend(
     for plan in plans:
         phi.update(plan())
     errors = validate_coloring(pg.real, lists, phi)
-    assert not errors, f"extension broke the colouring: {errors}"
+    if errors:
+        raise InvalidColoringError(f"extension broke the colouring: {errors}")
     return phi
 
 
@@ -424,10 +428,11 @@ def _plan_extension(pg, lists, psi, pair):
             bad.append(("pair-not-edge", min(pair)))
     if bad:
         return bad, []
-    rest = restrict_plane(pg, set(psi))
-    if rest is None:
+    sub, order = g.induced([v for v in range(g.n) if v not in psi])
+    rest = restrict_plane(pg, sub, order)
+    if rest.crossings:
         return [("crossing-survives", None)], []
-    sub, order, rot = rest
+    rot = rest.rotation
     back = {old: new for new, old in enumerate(order)}
     res = residual_lists(g, lists, psi)
     short = {back[v] for v, L in res.items() if len(L) <= 4}

@@ -16,7 +16,6 @@ from crosscolor.oracle import exact_list_color, validate_coloring
 from crosscolor.reductions import (
     ReductionStep,
     crossing_gadget,
-    find_applicable_reduction,
     iter_reduction_steps,
     measure,
     saturate_crossing_clique,
@@ -454,11 +453,11 @@ def test_no_rule_applies_to_petersen():
     inst = make_instance(
         10, outer + inner + spokes, {v: [0, 1, 2] for v in range(10)}
     )
-    assert find_applicable_reduction(inst) is None
+    assert next(iter_reduction_steps(inst), None) is None
 
 
 def test_first_candidate_is_a_step(k34):
-    step = find_applicable_reduction(k34)
+    step = next(iter_reduction_steps(k34), None)
     assert isinstance(step, ReductionStep)
     assert step.rule == "R1"
 

@@ -1,8 +1,14 @@
 """Whole-pipeline behaviour: dispatch, stats accounting, fallback policy."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import crosscolor
 from crosscolor.errors import PipelineIncompleteError
 from crosscolor.generate import GenSpec, gen_random_instance
 from crosscolor.instance import instance_mode, make_instance
@@ -149,3 +155,70 @@ def test_random_pinned_triangles_keep_their_pins(n, ncr, seed):
     assert_valid(inst, phi)
     for t in inst.triangle:
         assert phi[t] == min(inst.lists[t])
+
+
+# Each case breaks one colourer so that it hands back a bad colouring, runs
+# under ``python -O`` (which strips every ``assert``), and names the check
+# that must still catch it.
+BROKEN_COLORERS = {
+    "solve": ("""
+solver.observation_extend = lambda pg, lists, psi, pair=None: dict.fromkeys(range(pg.n_real), 0)
+solver.solve(K4)
+""", "solver produced a bad colouring"),
+    "reduction-step": ("""
+bad = ReductionStep("R1", (0,), lambda solve_child: dict.fromkeys(range(5), 0))
+solver.iter_reduction_steps = lambda inst: iter([bad])
+solver.solve(K5X)
+""", "R1(0,) recombined badly"),
+    "endgame": ("""
+solver.iter_reduction_steps = lambda inst: iter(())
+solver.endgame_color = lambda inst, events: dict.fromkeys(range(inst.n), 0)
+solver.solve(K5X_PINNED)
+""", "endgame recombined badly"),
+    "observation-extend": ("""
+thomassen.thomassen_color = lambda task: dict.fromkeys(range(task.graph.n), 0)
+thomassen.observation_extend(K4.plane, K4.lists, {})
+""", "extension broke the colouring"),
+    "thomassen-color": ("""
+thomassen._Engine.color_component = lambda self, scope, x, y: None
+thomassen.observation_extend(K4.plane, K4.lists, {})
+""", "boundary recursion produced an invalid colouring"),
+}
+
+BROKEN_PRELUDE = """
+import crosscolor.solver as solver
+import crosscolor.thomassen as thomassen
+from crosscolor.errors import InvalidColoringError
+from crosscolor.instance import make_instance
+from crosscolor.reductions import ReductionStep
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K4 = make_instance(4, [e for e in K5 if 4 not in e], [range(5)] * 4)
+K5X = make_instance(5, K5, [range(5)] * 5, crossings=[((0, 3), (1, 4))])
+K5X_PINNED = make_instance(
+    5, K5, [[5], [6], [7], range(5), range(5)],
+    crossings=[((0, 3), (1, 4))], triangle=(0, 1, 2),
+)
+try:
+{body}
+except InvalidColoringError as e:
+    print(e)
+else:
+    raise SystemExit("bad colouring went unnoticed")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_COLORERS))
+def test_bad_colourings_are_caught_under_python_O(case):
+    code, message = BROKEN_COLORERS[case]
+    body = "".join(f"    {line}\n" for line in code.strip().splitlines())
+    src = str(pathlib.Path(crosscolor.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_PRELUDE.format(body=body)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(message)
