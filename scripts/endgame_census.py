@@ -5,7 +5,10 @@ Counts, over many one-crossing instances with a precoloured triangle, how
 often the solver finishes in the planar base, a reduction rule, the
 near-crossing shortcut, the plain walk, or a blocked-walk escape.
 
-    python3 scripts/endgame_census.py --count 500
+    PYTHONPATH=src python3 scripts/endgame_census.py --count 500
+
+Run from the root of a checkout, or drop ``PYTHONPATH=src`` after
+``pip install -e .``.
 """
 
 import argparse

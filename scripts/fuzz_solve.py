@@ -2,7 +2,10 @@
 """Bulk-solve random drawn instances and tabulate how the pipeline won.
 
 Example:
-    python3 scripts/fuzz_solve.py --count 300 --crossings 2 --n-max 40
+    PYTHONPATH=src python3 scripts/fuzz_solve.py --count 300 --crossings 2 --n-max 40
+
+Run from the root of a checkout, or drop ``PYTHONPATH=src`` after
+``pip install -e .``.
 """
 
 import argparse

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from .errors import RuleInapplicable
 from .graphs import Graph, norm_edge
 from .instance import Coloring, Instance
-from .thomassen import observation_extend
+from .thomassen import observation_extend, residual_lists
 
 
 def _xset(inst: Instance) -> set[int]:
@@ -37,12 +37,9 @@ def _soft_pair(inst: Instance, used: int) -> tuple[int, int]:
 
 
 def _residuals(inst: Instance, psi: Mapping[int, int]) -> dict[int, set]:
-    out = {}
-    for v in range(inst.n):
-        if v in psi:
-            continue
-        out[v] = set(inst.lists[v]) - {psi[u] for u in inst.graph.adj[v] if u in psi}
-    return out
+    """``residual_lists`` as mutable sets, for the walk colouring to edit."""
+    res = residual_lists(inst.graph, inst.lists, psi)
+    return {v: set(L) for v, L in res.items()}
 
 
 def _finish(inst: Instance, psi: Mapping[int, int], used: int) -> Coloring | None:

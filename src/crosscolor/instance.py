@@ -74,7 +74,17 @@ def make_instance(
     triangle: tuple[int, int, int] | None = None,
 ) -> Instance:
     """Convenience constructor; validates like the JSON parser."""
-    g = Graph.from_edges(n, edges)
+    return _checked_instance(Graph.from_edges(n, edges), lists, crossings, triangle)
+
+
+def _checked_instance(
+    g: Graph,
+    lists: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    crossings: Sequence[tuple[tuple[int, int], tuple[int, int]]],
+    triangle: tuple[int, int, int] | None,
+) -> Instance:
+    """The checks of :func:`make_instance`, on an already built graph."""
+    n = g.n
     crs = tuple(CrossingPair.make(a, b) for a, b in crossings)
     validate_drawing(g, crs)
     if isinstance(lists, Mapping):
@@ -238,14 +248,11 @@ def induced_instance(
     """
     sub, order = inst.graph.induced(keep)
     back = {old: new for new, old in enumerate(order)}
-    crs = []
-    for c in inst.crossings:
-        if all(v in back for e in c.edges for v in e):
-            crs.append(
-                CrossingPair.make(
-                    (back[c.a[0]], back[c.a[1]]), (back[c.b[0]], back[c.b[1]])
-                )
-            )
+    crs = [
+        ((back[c.a[0]], back[c.a[1]]), (back[c.b[0]], back[c.b[1]]))
+        for c in inst.crossings
+        if all(v in back for e in c.edges for v in e)
+    ]
     new_lists = {}
     for old in order:
         src = inst.lists[old] if lists is None or old not in lists else lists[old]
@@ -253,7 +260,5 @@ def induced_instance(
     tri = None
     if triangle is not None:
         tri = (back[triangle[0]], back[triangle[1]], back[triangle[2]])
-    child = make_instance(
-        sub.n, sub.edges, new_lists, [(c.a, c.b) for c in crs], tri
-    )
+    child = _checked_instance(sub, new_lists, crs, tri)
     return replace(child, _drawn_in=(inst, order)), order

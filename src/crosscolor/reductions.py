@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .drawing import CrossingPair, cycle_sides
-from .errors import RuleInapplicable
+from .errors import InvalidColoringError, RuleInapplicable
 from .graphs import Graph, biconnected_blocks, components, norm_edge
 from .instance import Coloring, Instance, induced_instance, make_instance
 from .thomassen import observation_extend
@@ -63,6 +63,21 @@ def _greedy_psi(g: Graph, lists: Sequence[frozenset], order: Sequence[int]) -> C
 
 def _crossed_edges(inst: Instance) -> set[tuple[int, int]]:
     return {e for cr in inst.crossings for e in cr.edges}
+
+
+def _plus_edges(inst: Instance, extra: Iterable[tuple[int, int]]) -> Instance:
+    """Same vertices, lists, crossings and triangle, plus the missing ``extra``.
+
+    The result is a fresh instance: its drawing is embedded anew on read.
+    """
+    g = inst.graph
+    return make_instance(
+        inst.n,
+        list(g.edges) + [e for e in extra if not g.has_edge(*e)],
+        inst.lists,
+        [(c.a, c.b) for c in inst.crossings],
+        inst.triangle,
+    )
 
 
 def iter_reduction_steps(inst: Instance) -> Iterator[ReductionStep]:
@@ -131,6 +146,22 @@ def _config_component(inst: Instance, comps: list[list[int]]) -> dict[int, int]:
     return where
 
 
+def _main_side(inst: Instance, comps: list[list[int]]) -> tuple[dict[int, int], int]:
+    """Owner map of the crossings and triangle, and the busiest side.
+
+    The busiest side holds the triangle, then the most crossings, then the
+    most vertices; ties go to the side with the smallest vertex.
+    """
+    where = _config_component(inst, comps)
+
+    def busy(i: int) -> tuple[int, int, int, int]:
+        has_t = 1 if where.get(-1) == i else 0
+        ncr = sum(1 for k, c in where.items() if k >= 0 and c == i)
+        return (has_t, ncr, len(comps[i]), -min(comps[i]))
+
+    return where, max(range(len(comps)), key=busy)
+
+
 def _r2_cut_or_split(inst: Instance) -> Iterator[ReductionStep]:
     comps = components(inst.graph)
     if len(comps) >= 2:
@@ -158,15 +189,8 @@ def _r2_split_runner(inst: Instance, comps: list[list[int]]):
 
 def _r2_cut_runner(inst: Instance, a: int):
     def run(solve_child: SolveChild) -> Coloring:
-        comps = [c for c in components_without(inst.graph, {a})]
-        where = _config_component(inst, comps)
-
-        def busy(i: int) -> tuple[int, int, int, int]:
-            has_t = 1 if where.get(-1) == i else 0
-            ncr = sum(1 for k, c in where.items() if k >= 0 and c == i)
-            return (has_t, ncr, len(comps[i]), -min(comps[i]))
-
-        main = max(range(len(comps)), key=busy)
+        comps = components_without(inst.graph, {a})
+        where, main = _main_side(inst, comps)
         child, order = induced_instance(
             inst, sorted(set(comps[main]) | {a}), triangle=inst.triangle
         )
@@ -179,7 +203,7 @@ def _r2_cut_runner(inst: Instance, a: int):
             if i == main:
                 continue
             if any(c == i for c in where.values()):
-                phi.update(_apex_side(inst, solve_child, comps[i], a, phi))
+                phi.update(_apex_side(inst, solve_child, comps[i], (a,), phi))
             else:
                 free.append(i)
         if free:
@@ -221,33 +245,38 @@ def _apex_side(
     inst: Instance,
     solve_child: SolveChild,
     comp: list[int],
-    a: int,
+    cut: tuple[int, ...],
     phi: Coloring,
 ) -> Coloring:
-    """Solve one cut-side that carries a crossing, pinning ``a`` by a fresh triangle."""
-    keep = sorted(set(comp) | {a})
-    side, order = induced_instance(inst, keep)
+    """Solve one cut side that carries a crossing, pinning the cut to ``phi``.
+
+    The cut (one vertex for R2, two for R5) is padded to a triangle with
+    fresh vertices on fresh colours, ordered ``(cut[0], *fresh, *cut[1:])``:
+    ``(a, q1, q2)`` for a cut vertex, ``(u, q, v)`` for a cut pair.
+    """
+    side, order = induced_instance(inst, sorted(set(comp) | set(cut)))
     back = {old: new for new, old in enumerate(order)}
-    f1, f2 = _fresh_colors(inst, 2)
-    q1, q2 = side.n, side.n + 1
-    lists = {v: side.lists[v] for v in range(side.n)}
-    lists[back[a]] = {phi[a]}
-    lists[q1] = {f1}
-    lists[q2] = {f2}
+    fresh = list(range(side.n, side.n + 3 - len(cut)))
+    tri = (back[cut[0]], *fresh, *(back[c] for c in cut[1:]))
+    lists = dict(enumerate(side.lists))
+    lists.update((back[c], {phi[c]}) for c in cut)
+    lists.update((q, {f}) for q, f in zip(fresh, _fresh_colors(inst, len(fresh))))
+    tri_edges = {norm_edge(tri[i - 1], tri[i]) for i in range(3)}
     child = make_instance(
-        side.n + 2,
-        list(side.graph.edges) + [(back[a], q1), (back[a], q2), (q1, q2)],
+        side.n + len(fresh),
+        sorted(set(side.graph.edges) | tri_edges),
         lists,
         [(c.a, c.b) for c in side.crossings],
-        (back[a], q1, q2),
+        tri,
     )
     if len(child.crossings) > 1 or child.plane is None:
         raise RuleInapplicable("apexed side is not a drawable one-crossing child")
     _require_smaller(inst, child)
     sub = solve_child(child)
     out = {order[i]: c for i, c in sub.items() if i < side.n}
-    assert out[a] == phi[a]
-    return {v: c for v, c in out.items() if v != a}
+    if any(out[c] != phi[c] for c in cut):
+        raise InvalidColoringError(f"apexed side moved the pinned cut {cut}")
+    return {v: c for v, c in out.items() if v not in cut}
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +431,8 @@ def _ring_runner(inst: Instance, ring: tuple[int, ...]):
             sub2 = solve_child(child2)
             for i, col in sub2.items():
                 v = order2[i]
-                assert v not in phi or phi[v] == col
+                if v in phi and phi[v] != col:
+                    raise InvalidColoringError(f"quiet side recoloured ring vertex {v}")
                 phi[v] = col
             return phi
 
@@ -439,14 +469,7 @@ def _r5_runner(inst: Instance, u: int, v: int, comps: list[list[int]]):
         pg = inst.plane
         if pg is None:
             raise RuleInapplicable("undrawable parent")
-        where = _config_component(inst, comps)
-
-        def busy(i: int) -> tuple[int, int, int, int]:
-            has_t = 1 if where.get(-1) == i else 0
-            ncr = sum(1 for k, c in where.items() if k >= 0 and c == i)
-            return (has_t, ncr, len(comps[i]), -min(comps[i]))
-
-        main = max(range(len(comps)), key=busy)
+        where, main = _main_side(inst, comps)
         others = [i for i in range(len(comps)) if i != main]
         clean = (
             inst.graph.has_edge(u, v)
@@ -467,73 +490,20 @@ def _r5_runner(inst: Instance, u: int, v: int, comps: list[list[int]]):
             return full
 
         # apex route: force the cut pair apart with a fresh pinned triangle
-        child1 = _with_edge(inst, sorted(set(comps[main]) | {u, v}), u, v)
-        inst_c1, order1 = child1
-        _require_smaller(inst, inst_c1)
-        if inst_c1.plane is None:
+        side, order1 = induced_instance(
+            inst, sorted(set(comps[main]) | {u, v}), triangle=inst.triangle
+        )
+        child1 = _plus_edges(side, [(order1.index(u), order1.index(v))])
+        _require_smaller(inst, child1)
+        if child1.plane is None:
             raise RuleInapplicable("busy side will not draw with uv added")
-        sub1 = solve_child(inst_c1)
+        sub1 = solve_child(child1)
         phi = {order1[i]: c for i, c in sub1.items()}
         for i in others:
-            phi.update(_r5_apex_side(inst, solve_child, comps[i], u, v, phi))
+            phi.update(_apex_side(inst, solve_child, comps[i], (u, v), phi))
         return phi
 
     return run
-
-
-def _with_edge(inst: Instance, keep: list[int], u: int, v: int):
-    side, order = induced_instance(inst, keep, triangle=inst.triangle)
-    back = {old: new for new, old in enumerate(order)}
-    edges = list(side.graph.edges)
-    if not side.graph.has_edge(back[u], back[v]):
-        edges.append((back[u], back[v]))
-    tri = None
-    if inst.triangle is not None:
-        tri = tuple(back[t] for t in inst.triangle)
-    child = make_instance(
-        side.n,
-        edges,
-        {w: side.lists[w] for w in range(side.n)},
-        [(c.a, c.b) for c in side.crossings],
-        tri,
-    )
-    return child, order
-
-
-def _r5_apex_side(
-    inst: Instance,
-    solve_child: SolveChild,
-    comp: list[int],
-    u: int,
-    v: int,
-    phi: Coloring,
-) -> Coloring:
-    keep = sorted(set(comp) | {u, v})
-    side, order = induced_instance(inst, keep)
-    back = {old: new for new, old in enumerate(order)}
-    edges = list(side.graph.edges)
-    if not side.graph.has_edge(back[u], back[v]):
-        edges.append((back[u], back[v]))
-    (fresh,) = _fresh_colors(inst, 1)
-    q = side.n
-    lists = {w: side.lists[w] for w in range(side.n)}
-    lists[back[u]] = {phi[u]}
-    lists[back[v]] = {phi[v]}
-    lists[q] = {fresh}
-    child = make_instance(
-        side.n + 1,
-        edges + [(back[u], q), (back[v], q)],
-        lists,
-        [(c.a, c.b) for c in side.crossings],
-        (back[u], q, back[v]),
-    )
-    if len(child.crossings) > 1 or child.plane is None:
-        raise RuleInapplicable("apexed side is not a drawable one-crossing child")
-    _require_smaller(inst, child)
-    sub = solve_child(child)
-    out = {order[i]: c for i, c in sub.items() if i < side.n}
-    assert out[u] == phi[u] and out[v] == phi[v]
-    return {w: c for w, c in out.items() if w not in (u, v)}
 
 
 # ---------------------------------------------------------------------------
@@ -598,19 +568,8 @@ def _r7_disjoint(inst, pg, e, f1, f2) -> Coloring:
 
 def _r7_try_ring(inst: Instance, ring: list[int]) -> Coloring | None:
     g = inst.graph
-    aug = []
-    for i in range(6):
-        a, b = ring[i], ring[(i + 1) % 6]
-        if not g.has_edge(a, b):
-            aug.append((a, b))
     try:
-        fat = make_instance(
-            inst.n,
-            list(g.edges) + aug,
-            {v: inst.lists[v] for v in range(inst.n)},
-            [(c.a, c.b) for c in inst.crossings],
-            None,
-        )
+        fat = _plus_edges(inst, [(ring[i - 1], ring[i]) for i in range(6)])
     except ValueError:
         return None
     pg2 = fat.plane
@@ -702,7 +661,8 @@ def _r8_runner(inst: Instance, index: int):
                 _require_smaller(inst, child)
                 sub = solve_child(child)
                 fresh = next(iter(child.lists[vtx]))
-                assert sub[xp] != fresh and sub[yp] != fresh
+                if fresh in (sub[xp], sub[yp]):
+                    raise InvalidColoringError("gadget child gave the apex colour away")
                 return {w: col for w, col in sub.items() if w != vtx}
         raise RuleInapplicable("no orientation of the gadget is drawable")
 
@@ -725,18 +685,8 @@ def saturate_crossing_clique(inst: Instance) -> Instance | None:
     (cr,) = inst.crossings
     x, xp = cr.a
     y, yp = cr.b
-    add = [
-        p
-        for p in ((x, y), (x, yp), (xp, y), (xp, yp))
-        if not inst.graph.has_edge(*p)
-    ]
-    if not add:
+    corners = [(x, y), (x, yp), (xp, y), (xp, yp)]
+    if all(inst.graph.has_edge(*p) for p in corners):
         return inst
-    child = make_instance(
-        inst.n,
-        list(inst.graph.edges) + add,
-        {v: inst.lists[v] for v in range(inst.n)},
-        [(c.a, c.b) for c in inst.crossings],
-        inst.triangle,
-    )
+    child = _plus_edges(inst, corners)
     return child if child.plane is not None else None

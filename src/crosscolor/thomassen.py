@@ -12,17 +12,17 @@ every 2-connected piece stays 2-connected throughout.
 
 ``observation_extend`` is the glue used everywhere else in the package: given
 a partial colouring ``psi`` of some set S, it subtracts the used colours from
-the neighbours' lists, re-embeds the remainder, checks that all shortened
-lists sit together on one face per component, and finishes with boundary
-tasks.
+the neighbours' lists, restricts the drawing to the remainder, checks that
+all shortened lists sit together on one face per component, and finishes
+with boundary tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .drawing import PlaneGraph, cycle_sides, restrict_plane
+from .drawing import PlaneGraph, restrict_plane
 from .errors import InvalidColoringError, TaskPreconditionError
 from .graphs import Graph, biconnected_blocks, components, norm_edge
 from .oracle import validate_coloring
@@ -285,7 +285,7 @@ class _Engine:
                     cyc_xy, cyc_far = cyc[: j + 1], cyc[j:] + [cyc[0]]
                 else:
                     cyc_xy, cyc_far = cyc[j:] + cyc[: i + 1], cyc[i : j + 1]
-                far = self._far_side(scope, cyc, cyc_far, x, y)
+                far = self._far_side(scope, cyc_far)
                 near = (scope - far - set(cyc_far)) | set(cyc_xy)
                 self._recurse(near, x, y)
                 u, w = cyc[i], cyc[j]
@@ -320,41 +320,22 @@ class _Engine:
                     return (i, j)
         return None
 
-    def _far_side(
-        self,
-        scope: set[int],
-        cyc: list[int],
-        cyc_far: list[int],
-        x: int,
-        y: int,
-    ) -> set[int]:
-        """Vertices strictly inside the chord cycle away from x and y.
+    def _far_side(self, scope: set[int], cyc_far: list[int]) -> set[int]:
+        """Vertices strictly inside the chord cycle ``cyc_far``, away from x and y.
 
-        Uses the face-side partition rather than plain reachability: pieces
-        can hang on the two chord endpoints alone, and those belong to
-        whichever region they are drawn in.
+        Every scope is a near-triangulation: its outer walk is a simple cycle
+        (``_recurse`` checks this) and every inner face is a triangle
+        (``_triangulate``).  So nothing hangs on the two chord ends alone, and
+        the far side is what the far arc reaches without passing through them.
         """
-        if scope == set(cyc):
-            return set()
-        order = sorted(scope)
-        loc = {v: i for i, v in enumerate(order)}
-        sub = Graph.from_edges(
-            len(order),
-            [
-                (loc[u], loc[v])
-                for u in order
-                for v in self.adj[u]
-                if v in scope and u < v
-            ],
-        )
-        rot = tuple(
-            tuple(loc[w] for w in self.rot[v] if w in scope) for v in order
-        )
-        cs = cycle_sides(sub, rot, [loc[v] for v in cyc_far])
-        probe = x if x not in cyc_far else y
-        near = cs.vertex_side(loc[probe])
-        far = cs.side_b if near == 0 else cs.side_a
-        return {order[v] for v in far}
+        seen = set(cyc_far)
+        stack = cyc_far[1:-1]
+        while stack:
+            for w in self.adj[stack.pop()] & scope:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen - set(cyc_far)
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +479,7 @@ def _task_plan(sub, rot, order, res, cset, xx, yy):
     def run() -> Coloring:
         comp = sorted(cset)
         loc = {v: i for i, v in enumerate(comp)}
-        g2 = Graph.from_edges(
-            len(comp),
-            [(loc[u], loc[v]) for u, v in sub.edges if u in cset and v in cset],
-        )
+        g2, _ = sub.induced(comp)
         rot2 = tuple(tuple(loc[w] for w in rot[v]) for v in comp)
         lists2 = tuple(res[order[v]] for v in comp)
         task = BoundaryTask(g2, rot2, lists2, loc[xx], loc[yy])

@@ -11,7 +11,7 @@ import crosscolor.instance as instance_mod
 from crosscolor.drawing import planarize
 from crosscolor.errors import InvalidInstanceError
 from crosscolor.generate import GenSpec, gen_random_instance, random_plane_triangulation
-from crosscolor.graphs import norm_edge
+from crosscolor.graphs import Graph, norm_edge
 from crosscolor.instance import (
     dump_instance,
     emit_instance,
@@ -155,6 +155,19 @@ def test_induced_instance_restricts_everything(k34):
     for cr in sub.crossings:
         for e in cr.edges:
             assert k34.graph.has_edge(back[e[0]], back[e[1]])
+
+
+def test_induced_instance_builds_the_child_graph_once(k34, monkeypatch):
+    built = []
+    plain = Graph.from_edges
+
+    def counting(n, edges):
+        built.append(n)
+        return plain(n, edges)
+
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counting))
+    child, _ = induced_instance(k34, [0, 1, 3, 4, 5])
+    assert built == [5] and child.n == 5
 
 
 @given(st.integers(0, 10**6), st.integers(0, 2), st.booleans())

@@ -107,6 +107,14 @@ def two_blob_cut():
     return make_instance(10, edges, {v: FIVE for v in range(10)}, crossings=crossings)
 
 
+def assert_fresh_pins(parent, child, fresh):
+    """The new vertices hold singleton lists of distinct unused colours."""
+    used = set().union(*parent.lists)
+    pins = [child.lists[q] for q in fresh]
+    assert all(len(L) == 1 and not L & used for L in pins)
+    assert len(set().union(*pins)) == len(fresh)
+
+
 def test_r2_cut_apexes_the_far_crossing_and_extends_the_twig():
     inst = two_blob_cut()
     assert inst.plane is not None
@@ -118,10 +126,10 @@ def test_r2_cut_apexes_the_far_crossing_and_extends_the_twig():
     assert all(measure(k) < measure(inst) for k in kids)
     # far flank is re-solved with the cut vertex pinned under a fresh triangle
     apexed = kids[1]
-    assert apexed.triangle is not None
-    t = apexed.triangle
-    pins = [apexed.lists[v] for v in t]
-    assert sorted(map(len, pins)) == [1, 1, 1]
+    n = apexed.n - 2  # side {0, 5, 6, 7, 8}; the cut vertex 0 stays 0
+    assert apexed.triangle == (0, n, n + 1)
+    assert apexed.lists[0] == {phi[0]}
+    assert_fresh_pins(inst, apexed, [n, n + 1])
     # the twig never became a child: it was finished by extension
     assert 9 in phi
 
@@ -256,7 +264,11 @@ def test_r5_apex_route_when_the_pair_is_not_adjacent():
     first, second = kids
     # busy flank gets uv added; far flank gets an apex triangle over the pair
     assert first.graph.has_edge(0, 1) and first.triangle is None
-    assert second.triangle is not None and len(second.crossings) == 1
+    assert len(second.crossings) == 1
+    n = second.n - 1  # side {0, 1, 4, 5}; the cut pair stays (0, 1)
+    assert second.triangle == (0, n, 1)
+    assert (second.lists[0], second.lists[1]) == ({phi[0]}, {phi[1]})
+    assert_fresh_pins(inst, second, [n])
     assert all(measure(k) < measure(inst) for k in kids)
 
 

@@ -165,6 +165,15 @@ BROKEN_COLORERS = {
 solver.observation_extend = lambda pg, lists, psi, pair=None: dict.fromkeys(range(pg.n_real), 0)
 solver.solve(K4)
 """, "solver produced a bad colouring"),
+    "apex-side": ("""
+def moving(child):
+    phi = exact_list_color(child.graph, child.lists)
+    if child.triangle is not None:
+        phi[child.triangle[0]] += 100
+    return phi
+step = next(s for s in iter_reduction_steps(BLOBS) if s.params == ("cut", 0))
+step.run(moving)
+""", "apexed side moved the pinned cut"),
     "reduction-step": ("""
 bad = ReductionStep("R1", (0,), lambda solve_child: dict.fromkeys(range(5), 0))
 solver.iter_reduction_steps = lambda inst: iter([bad])
@@ -190,7 +199,8 @@ import crosscolor.solver as solver
 import crosscolor.thomassen as thomassen
 from crosscolor.errors import InvalidColoringError
 from crosscolor.instance import make_instance
-from crosscolor.reductions import ReductionStep
+from crosscolor.oracle import exact_list_color
+from crosscolor.reductions import ReductionStep, iter_reduction_steps
 
 K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
 K4 = make_instance(4, [e for e in K5 if 4 not in e], [range(5)] * 4)
@@ -198,6 +208,13 @@ K5X = make_instance(5, K5, [range(5)] * 5, crossings=[((0, 3), (1, 4))])
 K5X_PINNED = make_instance(
     5, K5, [[5], [6], [7], range(5), range(5)],
     crossings=[((0, 3), (1, 4))], triangle=(0, 1, 2),
+)
+# two crossed K4s hung on the cut vertex 0, plus a pendant vertex
+BLOBS = make_instance(
+    10,
+    [(0, 1), (0, 5), (0, 9)] + [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    + [(a, b) for a in range(5, 9) for b in range(a + 1, 9)],
+    [range(5)] * 10, crossings=[((1, 3), (2, 4)), ((5, 7), (6, 8))],
 )
 try:
 {body}

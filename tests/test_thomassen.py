@@ -1,11 +1,14 @@
 """Boundary-list recursion and the subtract-and-extend step."""
 
+import contextlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscolor.drawing import CrossingPair, planarize
+import crosscolor.thomassen as thomassen_mod
+from crosscolor.drawing import CrossingPair, cycle_sides, planarize
 from crosscolor.errors import TaskPreconditionError
 from crosscolor.generate import random_boundary_task, random_plane_triangulation
 from crosscolor.graphs import Graph
@@ -119,6 +122,89 @@ def test_monotone_in_list_size(seed):
     bigger = BoundaryTask(task.graph, task.rotation, tuple(grown), task.x, task.y)
     phi = thomassen_color(bigger)
     assert validate_coloring(bigger.graph, bigger.lists, phi) == []
+
+
+def face_side_far(eng, scope, cyc_far):
+    """Reference chord split: the face-side partition of the chord cycle.
+
+    The far arc is walked in outer-face order, so the face left of its first
+    edge is outside the chord cycle; ``cycle_sides`` puts that face's side in
+    ``side_a``, and the far side is ``side_b``.
+    """
+    order = sorted(scope)
+    loc = {v: i for i, v in enumerate(order)}
+    sub = Graph.from_edges(
+        len(order),
+        [(loc[u], loc[v]) for u in order for v in eng.adj[u] if v in scope and u < v],
+    )
+    rot = tuple(tuple(loc[w] for w in eng.rot[v] if w in scope) for v in order)
+    cs = cycle_sides(sub, rot, [loc[v] for v in cyc_far])
+    assert len(cs.side_a) + len(cs.side_b) + len(cyc_far) == len(scope)
+    return {order[v] for v in cs.side_b}
+
+
+@contextlib.contextmanager
+def checked_far_side():
+    """Check every chord split against the face-side partition; count them."""
+    calls = []
+    plain = thomassen_mod._Engine._far_side
+
+    def far_side(self, scope, cyc_far):
+        far = plain(self, scope, cyc_far)
+        assert far == face_side_far(self, scope, cyc_far)
+        calls.append(len(far))
+        return far
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(thomassen_mod._Engine, "_far_side", far_side)
+        yield calls
+
+
+@given(st.integers(0, 10**6), st.integers(6, 40))
+@settings(max_examples=40, deadline=None)
+def test_chord_split_matches_the_face_sides(seed, n):
+    task = random_boundary_task(n, seed=seed)
+    with checked_far_side():
+        phi = thomassen_color(task)
+    assert validate_coloring(task.graph, task.lists, phi) == []
+
+
+def grid_task(k):
+    """Boundary task on a k x k grid with alternating diagonals, drawn straight."""
+    at = {(i, j): i * k + j for i in range(k) for j in range(k)}
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append((at[i, j], at[i, j + 1]))
+            if i + 1 < k:
+                edges.append((at[i, j], at[i + 1, j]))
+            if i + 1 < k and j + 1 < k:
+                if (i + j) % 2:
+                    edges.append((at[i, j + 1], at[i + 1, j]))
+                else:
+                    edges.append((at[i, j], at[i + 1, j + 1]))
+    g = Graph.from_edges(k * k, edges)
+
+    def angle(v, w):
+        return math.atan2(w // k - v // k, w % k - v % k)
+
+    rot = tuple(
+        tuple(sorted(g.adj[v], key=lambda w: angle(v, w))) for v in range(k * k)
+    )
+    x, y = (0, 1) if len(trace_face(rot, None, 0, 1)) == 4 * (k - 1) else (1, 0)
+    lists = [frozenset(range(5))] * (k * k)
+    lists[x], lists[y] = frozenset({0}), frozenset({1})
+    return BoundaryTask(g, rot, tuple(lists), x, y)
+
+
+def test_chord_split_matches_the_face_sides_on_a_grid():
+    task = grid_task(8)
+    validate_task(task)
+    with checked_far_side() as calls:
+        phi = thomassen_color(task)
+    assert validate_coloring(task.graph, task.lists, phi) == []
+    assert calls and max(calls) > 0
 
 
 def test_trace_face_respects_scope():
