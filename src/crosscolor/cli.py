@@ -7,7 +7,9 @@ Results go to stdout as JSON; anything meant for humans goes to stderr.
 
 Exit codes: 0 success (or property true), 1 property false / violations
 found, 2 unsatisfiable or pipeline gave up, 3 invalid input, 4 search
-budget exhausted.
+budget exhausted, 5 internal fault (a theorem violation, the recursion
+limit, or a failed self-check); every error comes as a JSON
+``{"error": ...}`` document, never as a traceback.
 """
 
 from __future__ import annotations
@@ -28,7 +30,10 @@ from .instance import dump_instance, parse_instance
 from .oracle import DEFAULT_BUDGET, exact_list_color, is_k_choosable, validate_coloring
 from .solver import solve
 
-OK, FALSE, UNSAT, BAD_INPUT, OVER_BUDGET = 0, 1, 2, 3, 4
+OK, FALSE, UNSAT, BAD_INPUT, OVER_BUDGET, INTERNAL = 0, 1, 2, 3, 4, 5
+
+# TheoremViolationError and InvalidColoringError are AssertionErrors.
+INTERNAL_FAULTS = (AssertionError, RecursionError)
 
 
 def _emit(doc: dict) -> None:
@@ -45,6 +50,10 @@ def _load_instance(path: str):
             return parse_instance(fh.read())
     except OSError as e:
         raise InvalidInstanceError(f"{path}: {e}") from e
+
+
+def _fault_message(e: BaseException) -> str:
+    return f"internal fault: {type(e).__name__}: {e}"
 
 
 def _coloring_doc(phi: dict[int, int] | None) -> dict | None:
@@ -65,6 +74,8 @@ def _solve_one(path: str, use_fallback: bool, budget: int) -> tuple[int, dict]:
         return UNSAT, {"file": path, "error": str(e), "colors": None}
     except BudgetExceededError as e:
         return OVER_BUDGET, {"file": path, "error": str(e)}
+    except INTERNAL_FAULTS as e:
+        return INTERNAL, {"file": path, "error": _fault_message(e), "colors": None}
     doc = {
         "file": path,
         "colors": _coloring_doc(phi),
@@ -210,6 +221,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         _diag(str(e))
         _emit({"error": str(e)})
         return OVER_BUDGET
+    except INTERNAL_FAULTS as e:
+        _diag(_fault_message(e))
+        _emit({"error": _fault_message(e)})
+        return INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:

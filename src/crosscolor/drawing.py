@@ -5,7 +5,9 @@ each crossing by a degree-4 vertex appended after the real ids (crossing
 ``i`` becomes vertex ``n + i``).  When an edge is crossed twice the sequence
 of the two crossing points along the edge is not recorded in the input, so
 both orders are tried and the first that embeds wins.  No edge may be
-crossed more than twice.
+crossed more than twice.  The rotation at every dummy alternates its two
+curves, so they cross rather than touch; an embedding that misses this is
+redone with the order pinned.
 
 A sub-drawing on fewer real vertices is read off an existing embedding by
 :func:`restrict_plane` rather than embedded again.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import InvalidInstanceError
+from .errors import CycleSidesError, InvalidInstanceError
 from .graphs import Edge, Graph, norm_edge
 from .planarity import (
     Rotation,
@@ -107,23 +109,75 @@ def planarize(g: Graph, crossings: Sequence[CrossingPair]) -> PlaneGraph | None:
     for flips in product((False, True), repeat=len(doubled)):
         swap = dict(zip(doubled, flips))
         pedges: list[tuple[int, int]] = []
+        along: dict[int, tuple[int, int]] = {}  # dummy -> its neighbours on cr.a
         for u, v in g.edges:
             cs = by_edge.get((u, v))
             if cs is None:
                 pedges.append((u, v))
-            elif len(cs) == 1:
-                d = g.n + cs[0]
-                pedges += [(u, d), (d, v)]
-            else:
-                i, j = (cs[1], cs[0]) if swap[(u, v)] else (cs[0], cs[1])
-                d1, d2 = g.n + i, g.n + j
-                pedges += [(u, d1), (d1, d2), (d2, v)]
+                continue
+            order = cs[::-1] if swap.get((u, v)) else cs
+            path = [u, *(g.n + i for i in order), v]
+            pedges += zip(path, path[1:])
+            for k in range(1, len(path) - 1):
+                if crossings[path[k] - g.n].a == (u, v):
+                    along[path[k]] = (path[k - 1], path[k + 1])
         pg = Graph.from_edges(g.n + len(crossings), pedges)
         assert all(pg.degree(g.n + i) == 4 for i in range(len(crossings)))
         rot = try_embedding(pg)
+        if rot is not None and not _alternates(rot, along):
+            rot = _embed_alternating(pg, along)
         if rot is not None:
             return PlaneGraph(g, pg, rot, tuple(crossings))
     return None
+
+
+def _alternates(rot: Rotation, along: dict[int, tuple[int, int]]) -> bool:
+    """Whether every dummy's rotation puts its two curves crosswise."""
+    return all(
+        (rot[d].index(x) - rot[d].index(y)) % 4 == 2 for d, (x, y) in along.items()
+    )
+
+
+def _embed_alternating(
+    planar: Graph, along: dict[int, tuple[int, int]]
+) -> Rotation | None:
+    """An embedding of ``planar`` in which every dummy's curves cross.
+
+    The embedder is free to make two curves touch at a dummy when nothing
+    else pins them (a tree, say).  Here each edge at a dummy is subdivided
+    next to it and the four new vertices are joined in a ring in crosswise
+    order; the wheel so made has one embedding up to reflection, so the
+    dummy's rotation follows the ring.  Ring and subdivisions are then
+    stripped.  None when no such embedding exists.
+    """
+    n = planar.n
+    sub: dict[tuple[int, int], int] = {}  # (dummy, neighbour) -> new vertex
+    for d in along:
+        for x in planar.adj[d]:
+            sub[(d, x)] = n + len(sub)
+    edges = []
+    for a, b in planar.edges:
+        path = [a, sub.get((a, b)), sub.get((b, a)), b]
+        path = [p for p in path if p is not None]
+        edges += zip(path, path[1:])
+    for d, (x0, x1) in along.items():
+        y0, y1 = (y for y in planar.adj[d] if y not in (x0, x1))
+        ring = [sub[(d, x0)], sub[(d, y0)], sub[(d, x1)], sub[(d, y1)]]
+        edges += zip(ring, ring[1:] + ring[:1])
+    rot2 = try_embedding(Graph.from_edges(n + len(sub), edges))
+    if rot2 is None:
+        return None
+    home = {s: de for de, s in sub.items()}
+
+    def seen_from(v: int, w: int) -> int:
+        if w < n:
+            return w
+        d, x = home[w]
+        return x if v == d else d
+
+    rot: Rotation = tuple(tuple(seen_from(v, w) for w in rot2[v]) for v in range(n))
+    check_euler(planar, rot)
+    return rot
 
 
 def restrict_plane(pg: PlaneGraph, real: Graph, order: Sequence[int]) -> PlaneGraph:
@@ -187,16 +241,19 @@ class CycleSides:
             return 0
         if v in self.side_b:
             return 1
-        assert v in self.cycle
+        if v not in self.cycle:
+            raise CycleSidesError(f"vertex {v} is on neither side nor the cycle")
         return None
 
 
 def cycle_sides(planar: Graph, rotation: Rotation, cycle: Sequence[int]) -> CycleSides:
     k = len(cycle)
-    assert k >= 3 and len(set(cycle)) == k, "not a simple cycle"
+    if k < 3 or len(set(cycle)) != k:
+        raise CycleSidesError(f"{list(cycle)} is not a simple cycle")
     cedges = set()
     for i in range(k):
-        assert planar.has_edge(cycle[i - 1], cycle[i]), "cycle edge missing"
+        if not planar.has_edge(cycle[i - 1], cycle[i]):
+            raise CycleSidesError(f"cycle edge {(cycle[i - 1], cycle[i])} missing")
         cedges.add(norm_edge(cycle[i - 1], cycle[i]))
 
     walks = face_walks(rotation)
@@ -217,10 +274,11 @@ def cycle_sides(planar: Graph, rotation: Rotation, cycle: Sequence[int]) -> Cycl
         if a != b:
             parent[a] = b
     roots = {find(f) for f in range(len(walks))}
-    assert len(roots) == 2, (
-        f"cycle splits the plane into {len(roots)} parts; "
-        "graph must be connected and the cycle simple"
-    )
+    if len(roots) != 2:
+        raise CycleSidesError(
+            f"cycle splits the plane into {len(roots)} parts; "
+            "graph must be connected and the cycle simple"
+        )
     root_a = find(fidx[(cycle[0], cycle[1])])
 
     on_c = set(cycle)
@@ -229,5 +287,6 @@ def cycle_sides(planar: Graph, rotation: Rotation, cycle: Sequence[int]) -> Cycl
     for f, w in enumerate(walks):
         tgt = side_a if find(f) == root_a else side_b
         tgt.update(v for v in w if v not in on_c)
-    assert not (side_a & side_b), "vertex appears strictly on both sides"
+    if side_a & side_b:
+        raise CycleSidesError("vertex appears strictly on both sides")
     return CycleSides(tuple(cycle), frozenset(side_a), frozenset(side_b))

@@ -19,6 +19,16 @@ class NonplanarGraphError(ValueError):
     """An embedding was demanded of a graph that has none."""
 
 
+class CycleSidesError(ValueError):
+    """A vertex sequence is not a simple cycle cutting a plane graph in two.
+
+    Raised by :func:`crosscolor.drawing.cycle_sides` (and by
+    ``CycleSides.vertex_side`` for a vertex the graph does not have) rather
+    than by ``assert``, so callers that test a candidate cycle can rely on
+    it under ``python -O``.
+    """
+
+
 class TaskPreconditionError(ValueError):
     """A boundary colouring task violates the shape its recursion relies on."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import Graph6Error
 
@@ -114,34 +114,46 @@ def components(g: Graph) -> list[list[int]]:
     return out
 
 
-def biconnected_blocks(g: Graph) -> tuple[list[list[Edge]], set[int]]:
-    """Blocks as edge lists, plus the articulation vertex set.
+class Articulation(NamedTuple):
+    """Biconnected structure of ``G - skip`` (all of G when nothing is skipped)."""
 
-    Iterative Hopcroft–Tarjan; isolated vertices yield no block.  Bridge
-    edges form their own two-vertex blocks.
+    blocks: list[list[Edge]]  # edge lists; a bridge is a two-vertex block
+    cuts: set[int]  # articulation vertices
+    components: int  # connected components, isolated vertices included
+    isolated: set[int]  # vertices with no neighbour but ``skip``
+
+
+def articulation(g: Graph, skip: int | None = None) -> Articulation:
+    """Blocks, cut vertices and components of G with ``skip`` deleted.
+
+    Iterative Hopcroft–Tarjan, linear in the size of G; isolated vertices
+    yield no block.  One pass per vertex u gives every 2-cut {u, v}.
     """
+    adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     blocks: list[list[Edge]] = []
     cuts: set[int] = set()
+    isolated: set[int] = set()
+    components = 0
     estack: list[Edge] = []
     timer = 0
 
     for root in range(g.n):
-        if disc[root] != -1:
+        if disc[root] != -1 or root == skip:
             continue
+        components += 1
         root_children = 0
-        # (vertex, index into adjacency) work stack
-        work: list[list[int]] = [[root, 0]]
         disc[root] = low[root] = timer
         timer += 1
+        # (vertex, its neighbours not yet looked at) work stack
+        work = [(root, iter(adj[root]))]
         while work:
-            frame = work[-1]
-            u, i = frame
-            if i < len(g.adj[u]):
-                frame[1] += 1
-                w = g.adj[u][i]
+            u, nbrs = work[-1]
+            for w in nbrs:
+                if w == skip:
+                    continue
                 if disc[w] == -1:
                     estack.append((u, w))
                     parent[w] = u
@@ -149,31 +161,36 @@ def biconnected_blocks(g: Graph) -> tuple[list[list[Edge]], set[int]]:
                     timer += 1
                     if u == root:
                         root_children += 1
-                    work.append([w, 0])
-                elif w != parent[u] and disc[w] < disc[u]:
+                    work.append((w, iter(adj[w])))
+                    break
+                if w != parent[u] and disc[w] < disc[u]:
                     estack.append((u, w))
-                    low[u] = min(low[u], disc[w])
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
             else:
                 work.pop()
                 if not work:
                     continue
                 p = work[-1][0]
-                low[p] = min(low[p], low[u])
+                if low[u] < low[p]:
+                    low[p] = low[u]
                 if low[u] >= disc[p]:
-                    if p != root or root_children > 0:
-                        # pop the block of the tree edge (p, u)
-                        blk: list[Edge] = []
-                        while estack:
-                            e = estack.pop()
-                            blk.append(norm_edge(*e))
-                            if e == (p, u):
-                                break
-                        blocks.append(blk)
-                        if p != root:
-                            cuts.add(p)
-        if root_children >= 2:
+                    # pop the block of the tree edge (p, u); norm_edge is
+                    # inlined, as the R5 scan runs this once per vertex
+                    blk: list[Edge] = []
+                    while estack:
+                        e = estack.pop()
+                        blk.append(e if e[0] < e[1] else (e[1], e[0]))
+                        if e == (p, u):
+                            break
+                    blocks.append(blk)
+                    if p != root:
+                        cuts.add(p)
+        if root_children == 0:
+            isolated.add(root)
+        elif root_children >= 2:
             cuts.add(root)
-    return blocks, cuts
+    return Articulation(blocks, cuts, components, isolated)
 
 
 # ---------------------------------------------------------------------------

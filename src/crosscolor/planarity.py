@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonplanarGraphError
-from .graphs import Edge, Graph, biconnected_blocks, components, norm_edge
+from .graphs import Edge, Graph, articulation, components, norm_edge
 
 Rotation = tuple[tuple[int, ...], ...]
 
@@ -46,8 +46,7 @@ def try_embedding(g: Graph) -> Rotation | None:
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
     rota: list[list[int]] = [[] for _ in range(g.n)]
-    blocks, _ = biconnected_blocks(g)
-    for blk in blocks:
+    for blk in articulation(g).blocks:
         if len(blk) == 1:
             ((u, v),) = blk
             rota[u].append(v)
@@ -357,8 +356,7 @@ def _shrink(g: Graph) -> Graph:
 
 
 def _block_subgraphs(g: Graph):
-    blocks, _ = biconnected_blocks(g)
-    for blk in blocks:
+    for blk in articulation(g).blocks:
         vs = sorted({v for e in blk for v in e})
         sub, order = Graph.from_edges(g.n, blk).induced(vs)
         yield sub, order

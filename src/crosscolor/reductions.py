@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .drawing import CrossingPair, cycle_sides
-from .errors import InvalidColoringError, RuleInapplicable
-from .graphs import Graph, biconnected_blocks, components, norm_edge
+from .errors import CycleSidesError, InvalidColoringError, RuleInapplicable
+from .graphs import Graph, articulation, components, norm_edge
 from .instance import Coloring, Instance, induced_instance, make_instance
+from .planarity import Rotation
 from .thomassen import observation_extend
 
 SolveChild = Callable[[Instance], Coloring]
@@ -167,8 +168,7 @@ def _r2_cut_or_split(inst: Instance) -> Iterator[ReductionStep]:
     if len(comps) >= 2:
         yield ReductionStep("R2", ("split",), _r2_split_runner(inst, comps))
         return
-    _, cuts = biconnected_blocks(inst.graph)
-    for a in sorted(cuts):
+    for a in sorted(articulation(inst.graph).cuts):
         yield ReductionStep("R2", ("cut", a), _r2_cut_runner(inst, a))
 
 
@@ -389,6 +389,8 @@ def _ring_runner(inst: Instance, ring: tuple[int, ...]):
         pg = inst.plane
         if pg is None:
             raise RuleInapplicable("undrawable parent")
+        if _bounds_face(pg.rotation, ring):
+            raise RuleInapplicable("ring does not separate real vertices")
         cs = cycle_sides(pg.planar, pg.rotation, list(ring))
         real_a = {v for v in cs.side_a if v < pg.n_real}
         real_b = {v for v in cs.side_b if v < pg.n_real}
@@ -448,20 +450,56 @@ def _ring_runner(inst: Instance, ring: tuple[int, ...]):
     return run
 
 
+def _bounds_face(rotation: Rotation, ring: Sequence[int]) -> bool:
+    """Whether ``ring`` is the boundary walk of one face, in either direction.
+
+    Faces follow ``next(u, v) = (v, rotation[v][pos(u) + 1])``.  A facial
+    ring has nothing strictly on its face side, so it separates no vertices;
+    checking costs O(len(ring)) rotation lookups, where ``cycle_sides``
+    walks every face of the drawing.
+    """
+
+    def turn(u: int, v: int) -> int:
+        r = rotation[v]
+        return r[(r.index(u) + 1) % len(r)]
+
+    k = len(ring)
+    return any(
+        all(turn(c[i - 1], c[i]) == c[(i + 1) % k] for i in range(k))
+        for c in (tuple(ring), tuple(ring[::-1]))
+    )
+
+
 # ---------------------------------------------------------------------------
 # R5: two-vertex cuts
 # ---------------------------------------------------------------------------
 
 
 def _r5_two_cut(inst: Instance) -> Iterator[ReductionStep]:
-    g = inst.graph
+    for u, v, comps in _two_cuts(inst.graph):
+        yield ReductionStep("R5", (u, v), _r5_runner(inst, u, v, comps))
+
+
+def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
+    """Every 2-cut ``{u, v}`` (u < v) of G with its components, in (u, v) order.
+
+    One articulation pass per u settles every v: ``{u, v}`` cuts G exactly
+    when G - u has three or more components, or two of which ``{v}`` is not
+    one, or is connected and has v as a cut vertex.  That is O(n·m) in all;
+    components are listed only for the pairs that cut.
+    """
     if g.n < 4:
         return
     for u in range(g.n):
-        for v in range(u + 1, g.n):
-            comps = components_without(g, {u, v})
-            if len(comps) >= 2:
-                yield ReductionStep("R5", (u, v), _r5_runner(inst, u, v, comps))
+        art = articulation(g, u)
+        if art.components == 1:
+            vs: Iterable[int] = sorted(c for c in art.cuts if c > u)
+        elif art.components == 2:
+            vs = [v for v in range(u + 1, g.n) if v not in art.isolated]
+        else:
+            vs = range(u + 1, g.n)
+        for v in vs:
+            yield u, v, components_without(g, {u, v})
 
 
 def _r5_runner(inst: Instance, u: int, v: int, comps: list[list[int]]):
@@ -577,7 +615,7 @@ def _r7_try_ring(inst: Instance, ring: list[int]) -> Coloring | None:
         return None
     try:
         cs = cycle_sides(pg2.planar, pg2.rotation, ring)
-    except AssertionError:
+    except CycleSidesError:
         return None
     d0, d1 = pg2.dummy(0), pg2.dummy(1)
     s = cs.vertex_side(d0)
@@ -652,6 +690,10 @@ def crossing_gadget(
 def _r8_runner(inst: Instance, index: int):
     def run(solve_child: SolveChild) -> Coloring:
         cr = inst.crossings[index]
+        others = [c for j, c in enumerate(inst.crossings) if j != index]
+        if any(e in c.edges for c in others for e in cr.edges):
+            # the gadget deletes both edges, but the other crossing names one
+            raise RuleInapplicable("an edge of the crossing is crossed twice (R7)")
         for x, xp in (cr.a, cr.a[::-1]):
             for y, yp in (cr.b, cr.b[::-1]):
                 made = crossing_gadget(inst, index, x, xp, y, yp)

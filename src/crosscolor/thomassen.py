@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .drawing import PlaneGraph, restrict_plane
 from .errors import InvalidColoringError, TaskPreconditionError
-from .graphs import Graph, biconnected_blocks, components, norm_edge
+from .graphs import Graph, articulation, components, norm_edge
 from .oracle import validate_coloring
 from .planarity import Rotation, check_euler, face_walks
 
@@ -153,7 +153,7 @@ class _Engine:
                 if v in scope and u < v
             ],
         )
-        raw_blocks, _ = biconnected_blocks(sub)
+        raw_blocks = articulation(sub).blocks
         blocks = [
             sorted(norm_edge(order[a], order[b]) for a, b in blk)
             for blk in raw_blocks

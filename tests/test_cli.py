@@ -6,7 +6,11 @@ import pytest
 
 import crosscolor.cli as cli
 from crosscolor.cli import run_cli
-from crosscolor.errors import PipelineIncompleteError
+from crosscolor.errors import (
+    InvalidColoringError,
+    PipelineIncompleteError,
+    TheoremViolationError,
+)
 from crosscolor.generate import GenSpec, gen_random_instance
 from crosscolor.instance import dump_instance, make_instance, parse_instance
 from crosscolor.oracle import validate_coloring
@@ -186,3 +190,42 @@ def test_stats_file_for_a_single_solve(capsys, tmp_path):
     saved = json.loads(stats_path.read_text())
     assert saved["file"] == K34
     assert saved["stats"]["rules"]["R1"] >= 1
+
+
+INTERNAL_FAULTS = [
+    TheoremViolationError("shape-conforming instance admits no list colouring"),
+    RecursionError("maximum recursion depth exceeded"),
+    AssertionError("child (1, 4, -3) not below parent (1, 4, -3)"),
+    InvalidColoringError("solver produced a bad colouring: ['0-1 share 3']"),
+]
+
+
+@pytest.mark.parametrize("fault", INTERNAL_FAULTS, ids=lambda e: type(e).__name__)
+def test_internal_faults_are_exit_5_without_a_traceback(
+    capsys, monkeypatch, tmode, fault
+):
+    def breaks(inst, *, use_fallback, budget):
+        raise fault
+
+    monkeypatch.setattr(cli, "solve", breaks)
+    rc, out, err = run(capsys, "solve", tmode)
+    assert rc == 5
+    doc = json.loads(out)
+    assert doc["colors"] is None
+    assert doc["error"] == f"internal fault: {type(fault).__name__}: {fault}"
+    assert "Traceback" not in err
+    # the worker of ``--jobs`` reports it the same way
+    assert cli._solve_one(tmode, True, 10) == (5, {"file": tmode, **doc})
+
+
+def test_internal_fault_outside_solve_is_exit_5(capsys, monkeypatch):
+    def breaks(graph, lists, budget):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "exact_list_color", breaks)
+    rc, out, err = run(capsys, "oracle", K34)
+    assert rc == 5
+    assert json.loads(out) == {
+        "error": "internal fault: RecursionError: maximum recursion depth exceeded"
+    }
+    assert "Traceback" not in err

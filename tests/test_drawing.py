@@ -1,15 +1,24 @@
 """Planarization of drawings: dummies, realizability, reconstruction."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crosscolor
+import crosscolor.drawing as drawing_mod
 from crosscolor.drawing import CrossingPair, planarize, validate_drawing
 from crosscolor.errors import InvalidInstanceError
 from crosscolor.generate import GenSpec, gen_random_instance
 from crosscolor.graphs import Graph, norm_edge
+from crosscolor.instance import make_instance
+from crosscolor.oracle import validate_coloring
 from crosscolor.planarity import check_euler
+from crosscolor.solver import solve
 
 K5 = Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
 K6 = Graph.from_edges(6, [(a, b) for a in range(6) for b in range(a + 1, 6)])
@@ -100,3 +109,88 @@ def test_planarization_is_plane(seed):
     )
     pg = inst.plane
     check_euler(pg.planar, pg.rotation)
+
+
+def crosswise(pg, i):
+    """Whether the rotation at crossing ``i``'s dummy alternates its curves."""
+    d = pg.dummy(i)
+    a = pg.crossing_of(d).a
+    on_a = [
+        j
+        for j, w in enumerate(pg.rotation[d])
+        if w in a or (pg.is_dummy(w) and a in pg.crossing_of(w).edges)
+    ]
+    return len(on_a) == 2 and on_a[1] - on_a[0] == 2
+
+
+# three disjoint edges, the first crossed by the other two: the
+# planarization is a tree, so nothing in it pins the order at a dummy
+THREE_STICKS = ([(0, 1), (2, 3), (4, 5)], [((0, 1), (2, 3)), ((0, 1), (4, 5))])
+
+
+def test_crossings_alternate_when_nothing_pins_them(monkeypatch):
+    calls = []
+    real_embed = drawing_mod.try_embedding
+    monkeypatch.setattr(
+        drawing_mod, "try_embedding", lambda g: calls.append(g.n) or real_embed(g)
+    )
+    edges, crossings = THREE_STICKS
+    pg = planarize(
+        Graph.from_edges(6, edges), [CrossingPair.make(*c) for c in crossings]
+    )
+    assert pg is not None
+    check_euler(pg.planar, pg.rotation)
+    assert crosswise(pg, 0) and crosswise(pg, 1)
+    # the free embedding let the curves touch, so a pinned one was made
+    assert calls == [8, 16]
+
+
+def test_solve_colours_the_three_sticks():
+    edges, crossings = THREE_STICKS
+    inst = make_instance(6, edges, {v: range(5) for v in range(6)}, crossings=crossings)
+    phi, _ = solve(inst)
+    assert validate_coloring(inst.graph, inst.lists, phi) == []
+
+
+CYCLE_SIDES_UNDER_O = """
+from crosscolor.drawing import cycle_sides
+from crosscolor.errors import CycleSidesError
+from crosscolor.graphs import Graph
+from crosscolor.planarity import try_embedding
+
+c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+rot = try_embedding(c4)
+two_squares = Graph.from_edges(8, [(i, (i + 1) % 4) for i in range(4)]
+                               + [(4 + i, 4 + (i + 1) % 4) for i in range(4)])
+checks = [
+    lambda: cycle_sides(c4, rot, [0, 1, 2]),  # edge (2, 0) is absent
+    lambda: cycle_sides(c4, rot, [0, 1, 0]),  # not simple
+    lambda: cycle_sides(two_squares, try_embedding(two_squares), [0, 1, 2, 3]),
+    lambda: cycle_sides(c4, rot, [0, 1, 2, 3]).vertex_side(7),  # no such vertex
+]
+for check in checks:
+    try:
+        check()
+    except CycleSidesError as e:
+        print(e)
+    else:
+        raise SystemExit("bad cycle went unnoticed")
+"""
+
+
+def test_cycle_sides_rejects_bad_cycles_under_python_O():
+    src = str(pathlib.Path(crosscolor.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CYCLE_SIDES_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4
+    assert "edge (2, 0) missing" in lines[0]
+    assert "not a simple cycle" in lines[1]
+    assert "splits the plane into 3 parts" in lines[2]
+    assert "vertex 7" in lines[3]

@@ -9,17 +9,24 @@ the precondition is cheap to stage.
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import crosscolor.reductions as reductions
+from crosscolor.drawing import cycle_sides
 from crosscolor.errors import RuleInapplicable
 from crosscolor.generate import GenSpec, gen_random_instance
+from crosscolor.graphs import Graph, articulation
 from crosscolor.instance import make_instance, parse_instance
 from crosscolor.oracle import exact_list_color, validate_coloring
 from crosscolor.reductions import (
     ReductionStep,
+    _bounds_face,
+    _two_cuts,
+    components_without,
     crossing_gadget,
     iter_reduction_steps,
     measure,
     saturate_crossing_clique,
 )
+from crosscolor.solver import solve
 
 from conftest import ICOSA_EDGES, icosa_instance
 
@@ -350,10 +357,14 @@ def test_r7_triggers_only_on_a_shared_edge(k34, k5x):
     assert steps_for(k5x, "R7") == []  # one crossing
 
 
-def test_r7_chords_sharing_a_corner():
+def chords_sharing_a_corner():
     edges = [(0, 1), (2, 3), (3, 4), (0, 2), (1, 4), (0, 3), (1, 3)]
     crossings = [((0, 1), (2, 3)), ((0, 1), (3, 4))]
-    inst = make_instance(5, edges, {v: FIVE for v in range(5)}, crossings=crossings)
+    return make_instance(5, edges, {v: FIVE for v in range(5)}, crossings=crossings)
+
+
+def test_r7_chords_sharing_a_corner():
+    inst = chords_sharing_a_corner()
     assert inst.plane is not None
     cand = steps_for(inst, "R7")
     assert [s.params for s in cand] == [((0, 1),)]
@@ -390,6 +401,16 @@ def test_r8_runner_on_the_icosahedron():
     assert measure(kid) < measure(inst)
     assert 12 not in phi
     assert validate_coloring(inst.graph, inst.lists, phi) == []
+
+
+def test_r8_leaves_a_doubly_crossed_edge_to_r7():
+    # the gadget would delete (0, 1), which the other crossing still names
+    inst = chords_sharing_a_corner()
+    cand = steps_for(inst, "R8")
+    assert len(cand) == 2
+    for step in cand:
+        with pytest.raises(RuleInapplicable, match="crossed twice"):
+            step.run(oracle_child)
 
 
 def test_r8_not_offered_once_a_triangle_is_pinned():
@@ -493,3 +514,143 @@ def test_fuzzed_steps_shrink_and_recombine(seed, n, ncr):
         assert validate_coloring(inst.graph, inst.lists, phi) == []
         break
     assert all(measure(k) < measure(inst) for k in kids)
+
+
+# ---------------------------------------------------------------------------
+# scan equivalence: the fast R4/R6 and R5 scans against the plain ones
+# ---------------------------------------------------------------------------
+
+# two crossings on far-apart edges of the icosahedron, each through the two
+# faces at the crossed edge
+ICOSA_TWO_CROSSINGS = [((0, 1), (5, 8)), ((3, 4), (6, 10))]
+
+
+def r5_reference(g):
+    """The plain R5 scan: list the components of G - {u, v} for every pair."""
+    if g.n < 4:
+        return
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            comps = components_without(g, {u, v})
+            if len(comps) >= 2:
+                yield u, v, comps
+
+
+def named_graphs():
+    tri = [(0, 1), (1, 2), (0, 2)]
+    stacked = gen_random_instance(GenSpec(n=16, seed=4)).graph.edges
+    return {
+        "disconnected, isolated 6": Graph.from_edges(7, tri + [(3, 4), (4, 5), (3, 5)]),
+        "isolated only": Graph.from_edges(5, []),
+        "bowtie": Graph.from_edges(5, tri + [(2, 3), (3, 4), (2, 4)]),
+        "path": Graph.from_edges(6, [(i, i + 1) for i in range(5)]),
+        "star": Graph.from_edges(5, [(0, v) for v in range(1, 5)]),
+        "C5": Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+        "icosahedron": icosa_instance(ICOSA_TWO_CROSSINGS).graph,
+        "stacked": gen_random_instance(GenSpec(n=16, crossings=2, seed=3)).graph,
+        "stacked minus 0": Graph.from_edges(16, [e for e in stacked if 0 not in e]),
+    }
+
+
+def test_articulation_with_a_vertex_deleted():
+    # 0 hangs off 1 only; 1-2-3 is a triangle; 4 hangs off 3; 5 is isolated
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
+    whole = articulation(g)
+    assert (whole.cuts, whole.components, whole.isolated) == ({1, 3}, 2, {5})
+    blocks = sorted(map(sorted, whole.blocks))
+    assert blocks == [[(0, 1)], [(1, 2), (1, 3), (2, 3)], [(3, 4)]]
+    minus_1 = articulation(g, 1)
+    assert (minus_1.cuts, minus_1.components, minus_1.isolated) == ({3}, 3, {0, 5})
+    minus_3 = articulation(g, 3)
+    assert (minus_3.cuts, minus_3.components, minus_3.isolated) == ({1}, 3, {4, 5})
+
+
+@pytest.mark.parametrize("name", sorted(named_graphs()))
+def test_two_cut_scan_matches_the_pair_loop(name):
+    g = named_graphs()[name]
+    assert list(_two_cuts(g)) == list(r5_reference(g))
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Graphs with up to 1.5 edges per vertex: often disconnected, with
+    isolated vertices and cut vertices."""
+    n = draw(st.integers(0, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=3 * n // 2)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(sparse_graphs())
+@settings(max_examples=300, deadline=None)
+def test_two_cut_scan_matches_the_pair_loop_on_sparse_graphs(g):
+    assert list(_two_cuts(g)) == list(r5_reference(g))
+
+
+@given(st.integers(0, 10**6), st.integers(5, 16), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_two_cut_scan_matches_the_pair_loop_on_stacked_drawings(seed, n, k):
+    try:
+        g = gen_random_instance(GenSpec(n=n, crossings=k, seed=seed)).graph
+    except ValueError:
+        return
+    assert list(_two_cuts(g)) == list(r5_reference(g))
+    # deleting a vertex of a triangulation leaves cut pairs on its link
+    h = Graph.from_edges(n, [e for e in g.edges if seed % n not in e])
+    assert list(_two_cuts(h)) == list(r5_reference(h))
+
+
+def assert_facial_rings_are_the_non_separating_ones(inst):
+    pg = inst.plane
+    rings = [s.params for s in iter_reduction_steps(inst) if s.rule in ("R4", "R6")]
+    assert rings
+    for ring in rings:
+        cs = cycle_sides(pg.planar, pg.rotation, list(ring))
+        sides = [{v for v in side if v < pg.n_real} for side in (cs.side_a, cs.side_b)]
+        assert _bounds_face(pg.rotation, ring) == (not all(sides)), ring
+
+
+@pytest.mark.parametrize("ncr", [0, 1, 2])
+def test_facial_check_agrees_with_cycle_sides_on_the_icosahedron(ncr):
+    inst = icosa_instance(ICOSA_TWO_CROSSINGS[:ncr])
+    assert_facial_rings_are_the_non_separating_ones(inst)
+    # every triangle of the icosahedron is a face; the R6 squares are not
+    pg = inst.plane
+    for s in iter_reduction_steps(inst):
+        if s.rule in ("R4", "R6"):
+            assert _bounds_face(pg.rotation, s.params) == (s.rule == "R4")
+
+
+@given(st.integers(0, 10**6), st.integers(6, 20), st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_facial_check_agrees_with_cycle_sides_on_stacked_drawings(seed, n, k):
+    try:
+        inst = gen_random_instance(GenSpec(n=n, crossings=k, seed=seed))
+    except ValueError:
+        return
+    assert_facial_rings_are_the_non_separating_ones(inst)
+
+
+def test_icosahedron_solve_skips_pair_searches_and_facial_rings(monkeypatch):
+    inst = icosa_instance(ICOSA_TWO_CROSSINGS)
+    pair_calls, side_calls = [], []
+    real_without, real_sides = reductions.components_without, reductions.cycle_sides
+
+    def counted_without(g, removed):
+        pair_calls.append(removed)
+        return real_without(g, removed)
+
+    def counted_sides(planar, rotation, cycle):
+        side_calls.append((rotation, tuple(cycle)))
+        return real_sides(planar, rotation, cycle)
+
+    monkeypatch.setattr(reductions, "components_without", counted_without)
+    monkeypatch.setattr(reductions, "cycle_sides", counted_sides)
+    phi, stats = solve(inst)
+    assert validate_coloring(inst.graph, inst.lists, phi) == []
+    assert stats.rules["R8"] == 1
+    assert pair_calls == []
+    # each side split is of a ring that does not bound a face, at most once
+    assert side_calls
+    assert not any(_bounds_face(rot, cyc) for rot, cyc in side_calls)
+    assert len(set(side_calls)) == len(side_calls)
