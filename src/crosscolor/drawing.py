@@ -103,7 +103,9 @@ def planarize(g: Graph, crossings: Sequence[CrossingPair]) -> PlaneGraph | None:
     for i, cr in enumerate(crossings):
         for e in cr.edges:
             by_edge.setdefault(e, []).append(i)
-    assert all(len(c) <= 2 for c in by_edge.values()), "edge crossed 3+ times"
+    for e, c in by_edge.items():
+        if len(c) > 2:
+            raise InvalidInstanceError(f"edge {e} is crossed more than twice")
     doubled = sorted(e for e, c in by_edge.items() if len(c) == 2)
 
     for flips in product((False, True), repeat=len(doubled)):
@@ -122,7 +124,11 @@ def planarize(g: Graph, crossings: Sequence[CrossingPair]) -> PlaneGraph | None:
                 if crossings[path[k] - g.n].a == (u, v):
                     along[path[k]] = (path[k - 1], path[k + 1])
         pg = Graph.from_edges(g.n + len(crossings), pedges)
-        assert all(pg.degree(g.n + i) == 4 for i in range(len(crossings)))
+        for i in range(len(crossings)):
+            if pg.degree(g.n + i) != 4:
+                raise InvalidInstanceError(
+                    f"crossing {i}: its dummy has degree {pg.degree(g.n + i)}, not 4"
+                )
         rot = try_embedding(pg)
         if rot is not None and not _alternates(rot, along):
             rot = _embed_alternating(pg, along)

@@ -537,7 +537,12 @@ def _replay_tail(
 
 
 def endgame_color(inst: Instance, counters: dict | None = None) -> Coloring | None:
-    """Full endgame: direct seeds, then the path machinery with escapes."""
+    """Full endgame: direct seeds, then the path machinery with escapes.
+
+    Every None is counted under ``giveup.<reason>``: ``no_path`` (no
+    triangle-to-crossing walk), ``path_punt`` (the walk's colouring punted)
+    or ``escapes`` (a blocked last step that no escape resolved).
+    """
 
     def hit(name: str) -> None:
         if counters is not None:
@@ -549,14 +554,19 @@ def endgame_color(inst: Instance, counters: dict | None = None) -> Coloring | No
         return phi
     path = find_min_score_path(inst)
     if path is None:
+        hit("giveup.no_path")
         return None
     try:
         res = color_along_path(inst, path)
     except RuleInapplicable:
+        hit("giveup.path_punt")
         return None
     if isinstance(res, dict):
         hit("path")
         return res
     hit("blocked")
     hit(f"blocked_b{len(res.live)}")
-    return resolve_blocked_endgame(inst, res, counters)
+    phi = resolve_blocked_endgame(inst, res, counters)
+    if phi is None:
+        hit("giveup.escapes")
+    return phi

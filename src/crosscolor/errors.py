@@ -15,10 +15,6 @@ class Graph6Error(InvalidInstanceError):
         super().__init__(message)
 
 
-class NonplanarGraphError(ValueError):
-    """An embedding was demanded of a graph that has none."""
-
-
 class CycleSidesError(ValueError):
     """A vertex sequence is not a simple cycle cutting a plane graph in two.
 

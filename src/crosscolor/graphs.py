@@ -123,17 +123,22 @@ class Articulation(NamedTuple):
     isolated: set[int]  # vertices with no neighbour but ``skip``
 
 
-def articulation(g: Graph, skip: int | None = None) -> Articulation:
+def articulation(
+    g: Graph, skip: int | None = None, *, blocks: bool = True
+) -> Articulation:
     """Blocks, cut vertices and components of G with ``skip`` deleted.
 
     Iterative Hopcroft–Tarjan, linear in the size of G; isolated vertices
-    yield no block.  One pass per vertex u gives every 2-cut {u, v}.
+    yield no block.  One pass per vertex u gives every 2-cut {u, v}.  With
+    ``blocks=False`` the edge stack is not kept and ``blocks`` comes back
+    empty, which saves about a third of a pass for callers that read only
+    cut vertices and components.
     """
     adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
-    blocks: list[list[Edge]] = []
+    found: list[list[Edge]] = []
     cuts: set[int] = set()
     isolated: set[int] = set()
     components = 0
@@ -155,7 +160,8 @@ def articulation(g: Graph, skip: int | None = None) -> Articulation:
                 if w == skip:
                     continue
                 if disc[w] == -1:
-                    estack.append((u, w))
+                    if blocks:
+                        estack.append((u, w))
                     parent[w] = u
                     disc[w] = low[w] = timer
                     timer += 1
@@ -164,7 +170,8 @@ def articulation(g: Graph, skip: int | None = None) -> Articulation:
                     work.append((w, iter(adj[w])))
                     break
                 if w != parent[u] and disc[w] < disc[u]:
-                    estack.append((u, w))
+                    if blocks:
+                        estack.append((u, w))
                     if disc[w] < low[u]:
                         low[u] = disc[w]
             else:
@@ -175,22 +182,22 @@ def articulation(g: Graph, skip: int | None = None) -> Articulation:
                 if low[u] < low[p]:
                     low[p] = low[u]
                 if low[u] >= disc[p]:
-                    # pop the block of the tree edge (p, u); norm_edge is
-                    # inlined, as the R5 scan runs this once per vertex
-                    blk: list[Edge] = []
-                    while estack:
-                        e = estack.pop()
-                        blk.append(e if e[0] < e[1] else (e[1], e[0]))
-                        if e == (p, u):
-                            break
-                    blocks.append(blk)
+                    if blocks:
+                        # pop the block of the tree edge (p, u)
+                        blk: list[Edge] = []
+                        while estack:
+                            e = estack.pop()
+                            blk.append(e if e[0] < e[1] else (e[1], e[0]))
+                            if e == (p, u):
+                                break
+                        found.append(blk)
                     if p != root:
                         cuts.add(p)
         if root_children == 0:
             isolated.add(root)
         elif root_children >= 2:
             cuts.add(root)
-    return Articulation(blocks, cuts, components, isolated)
+    return Articulation(found, cuts, components, isolated)
 
 
 # ---------------------------------------------------------------------------

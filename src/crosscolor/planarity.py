@@ -1,63 +1,51 @@
 """Planarity testing and combinatorial embeddings.
 
-The embedder is the classical face-by-face insertion scheme: embed a cycle,
-then repeatedly place a path of some remaining fragment into a face whose
-boundary contains all of the fragment's attachment vertices, preferring
-fragments that have exactly one admissible face.  Unlike the usual
-linear-time algorithms it produces the rotation system almost for free, but
-it is roughly cubic: a stacked triangulation takes about 0.1 s at n=100 and
-8 s at n=400.  The solver therefore embeds a drawing once; sub-instances
-that only delete vertices restrict that embedding
+The embedder is the left-right planarity test (Brandes, *The Left-Right
+Planarity Test*, 2009, after de Fraysseix and Rosenstiehl), which decides
+planarity and yields a rotation system in linear time.  It runs in three
+depth-first passes over the whole graph, so disconnected graphs and cut
+vertices need no special handling:
+
+1. orientation: a DFS forest orients every edge (tree edges downwards, back
+   edges upwards) and records each edge's two lowest return points, which
+   give its nesting depth;
+2. testing: a second DFS, visiting out-edges by nesting depth, merges the
+   return edges of sibling subtrees into a stack of conflict pairs, each a
+   left and a right interval of edges that must lie on opposite sides; a
+   pair that needs both sides at once proves the graph nonplanar;
+3. embedding: each edge's side, resolved along its chain of references,
+   signs its nesting depth; out-edges are reordered by the signed depth and
+   a third DFS threads every back edge into the rotation at its upper end.
+
+All three passes use explicit stacks, so no input depth reaches Python's
+recursion limit.  The solver embeds a drawing once; sub-instances that only
+delete vertices restrict that embedding
 (:func:`crosscolor.drawing.restrict_plane`) instead of calling the embedder.
 
 An embedding is represented as a rotation system: ``rotation[v]`` is the
 cyclic order of neighbours around ``v``.  Face tracing follows the rule
 ``next(u, v) = (v, rotation[v][pos(u) + 1])``; everything downstream (outer
 walks, chord sides, crossing regions) sticks to that convention.
-
-``planar_by_minors`` is a deliberately independent slow oracle (reduction to
-Wagner's theorem plus exhaustive minor-model search) used to cross-check the
-embedder in tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import NonplanarGraphError
-from .graphs import Edge, Graph, articulation, components, norm_edge
+from .graphs import Graph, components
 
 Rotation = tuple[tuple[int, ...], ...]
-
-
-def is_planar(g: Graph) -> bool:
-    return try_embedding(g) is not None
-
-
-def compute_embedding(g: Graph) -> Rotation:
-    rot = try_embedding(g)
-    if rot is None:
-        raise NonplanarGraphError(f"graph with {g.n} vertices is not planar")
-    return rot
 
 
 def try_embedding(g: Graph) -> Rotation | None:
     """Rotation system of a planar embedding, or None."""
     if g.n >= 3 and g.m > 3 * g.n - 6:
         return None
-    rota: list[list[int]] = [[] for _ in range(g.n)]
-    for blk in articulation(g).blocks:
-        if len(blk) == 1:
-            ((u, v),) = blk
-            rota[u].append(v)
-            rota[v].append(u)
-            continue
-        faces = _embed_block(blk)
-        if faces is None:
-            return None
-        for v, cyc in _rotation_from_faces(faces).items():
-            rota[v].extend(cyc)
-    rot = tuple(tuple(r) for r in rota)
+    dfs = _orient(g)
+    side = _lr_sides(dfs)
+    if side is None:
+        return None
+    rot = _embed(dfs, side)
     check_euler(g, rot)
     return rot
 
@@ -96,8 +84,11 @@ def directed_face_index(walks: list[list[int]]) -> dict[tuple[int, int], int]:
 
 
 def check_euler(g: Graph, rotation: Rotation) -> None:
-    """Assert that ``rotation`` is a genus-zero embedding of ``g``."""
-    assert len(rotation) == g.n
+    """Raise AssertionError unless ``rotation`` is a genus-zero embedding of ``g``."""
+    if len(rotation) != g.n:
+        raise AssertionError(
+            f"rotation has {len(rotation)} rows for a graph on {g.n} vertices"
+        )
     for v in range(g.n):
         if tuple(sorted(rotation[v])) != g.adj[v]:
             raise AssertionError(
@@ -122,328 +113,344 @@ def check_euler(g: Graph, rotation: Rotation) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-block embedding
+# left-right planarity test
+#
+# Edges are numbered in the order the first DFS orients them; edge e runs
+# from src[e] to dst[e], and -1 stands for "no edge" throughout.
 # ---------------------------------------------------------------------------
 
 
-def _embed_block(block: list[Edge]) -> list[list[int]] | None:
-    """Faces (as simple oriented cycles) of a 2-connected block, or None."""
-    verts = sorted({v for e in block for v in e})
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for u, v in block:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-    bedges = {norm_edge(u, v) for u, v in block}
+class _Dfs(NamedTuple):
+    """The oriented DFS forest of phase 1."""
 
-    cycle = _some_cycle(adj, verts[0])
-    faces: list[list[int]] = [cycle, list(reversed(cycle))]
-    emb_v = set(cycle)
-    emb_e = {
-        norm_edge(cycle[i - 1], cycle[i]) for i in range(len(cycle))
-    }
-
-    while len(emb_e) < len(bedges):
-        infos = []
-        for att, path in _fragments(adj, bedges, emb_v, emb_e):
-            adm = [i for i, f in enumerate(faces) if att <= set(f)]
-            if not adm:
-                return None
-            infos.append((path, adm))
-        path, adm = next((x for x in infos if len(x[1]) == 1), infos[0])
-        fidx = adm[0]
-        f1, f2 = _split_face(faces[fidx], path)
-        faces[fidx] = f1
-        faces.append(f2)
-        emb_v.update(path)
-        emb_e.update(
-            norm_edge(path[i], path[i + 1]) for i in range(len(path) - 1)
-        )
-    return faces
+    n: int
+    height: list[int]  # depth in the forest; roots are at 0
+    parent_edge: list[int]  # tree edge into each vertex
+    src: list[int]
+    dst: list[int]
+    lowpt: list[int]
+    nesting: list[int]
+    roots: list[int]
 
 
-def _some_cycle(adj: dict[int, list[int]], root: int) -> list[int]:
-    parent: dict[int, int | None] = {root: None}
-    stack = [(root, iter(adj[root]))]
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w not in parent:
-                parent[w] = u
-                stack.append((w, iter(adj[w])))
-                advanced = True
-                break
-            if w != parent[u]:
-                # back edge: w is an ancestor of u
-                cyc = [u]
-                x: int = u
-                while x != w:
-                    x = parent[x]  # type: ignore[assignment]
-                    cyc.append(x)
-                return cyc
-        if not advanced:
-            stack.pop()
-    raise AssertionError("no cycle in a multi-edge 2-connected block")
+def _orient(g: Graph) -> _Dfs:
+    """Phase 1: orient every edge along a DFS forest and rank it by nesting.
 
-
-def _fragments(adj, bedges, emb_v, emb_e):
-    """Bridges of the embedded subgraph: (attachment set, insertable path)."""
-    frags = []
-    for u, v in sorted(bedges - emb_e):
-        if u in emb_v and v in emb_v:
-            frags.append((frozenset((u, v)), [u, v]))
-    seen: set[int] = set()
-    for s in sorted(set(adj) - emb_v):
-        if s in seen:
-            continue
-        comp = {s}
-        q = [s]
-        while q:
-            x = q.pop()
-            for w in adj[x]:
-                if w not in emb_v and w not in comp:
-                    comp.add(w)
-                    q.append(w)
-        seen |= comp
-        att = sorted({w for x in comp for w in adj[x] if w in emb_v})
-        frags.append((frozenset(att), _cross_path(adj, comp, att)))
-    return frags
-
-
-def _cross_path(adj, comp, att):
-    """Path between two attachments whose interior lies in ``comp``."""
-    a = att[0]
-    targets = set(att[1:])
-    parent: dict[int, int] = {}
-    q = [w for w in adj[a] if w in comp]
-    for w in q:
-        parent[w] = a
-    for x in q:
-        for w in adj[x]:
-            if w in targets:
-                path = [w, x]
-                while path[-1] != a:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            if w in comp and w not in parent:
-                parent[w] = x
-                q.append(w)
-    raise AssertionError("fragment with fewer than two attachments")
-
-
-def _split_face(f: list[int], path: list[int]) -> tuple[list[int], list[int]]:
-    a, b = path[0], path[-1]
-    i, j = f.index(a), f.index(b)
-    k = len(f)
-    arc_ab = [f[(i + t) % k] for t in range((j - i) % k + 1)]
-    arc_ba = [f[(j + t) % k] for t in range((i - j) % k + 1)]
-    inner = path[1:-1]
-    return [a] + inner + [b] + arc_ba[1:-1], arc_ab + inner[::-1]
-
-
-def _rotation_from_faces(faces: list[list[int]]) -> dict[int, list[int]]:
-    succ: dict[int, dict[int, int]] = {}
-    for f in faces:
-        k = len(f)
-        for idx in range(k):
-            u, v, w = f[idx - 1], f[idx], f[(idx + 1) % k]
-            succ.setdefault(v, {})[u] = w
-    rot = {}
-    for v, sv in succ.items():
-        start = min(sv)
-        cyc = [start]
-        x = sv[start]
-        while x != start:
-            cyc.append(x)
-            x = sv[x]
-        assert len(cyc) == len(sv), f"rotation at {v} is not a single cycle"
-        rot[v] = cyc
-    return rot
-
-
-# ---------------------------------------------------------------------------
-# nonplanarity witnesses
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KuratowskiWitness:
-    kind: str  # "K5" or "K33"
-    edges: tuple[Edge, ...]
-    branch_vertices: tuple[int, ...]
-
-
-def kuratowski_witness(g: Graph) -> KuratowskiWitness:
-    """Edge-minimal nonplanar subgraph, classified by its branch degrees."""
-    if try_embedding(g) is not None:
-        raise ValueError("witness requested for a planar graph")
-    edges = list(g.edges)
-    i = 0
-    while i < len(edges):
-        trial = edges[:i] + edges[i + 1 :]
-        if try_embedding(Graph.from_edges(g.n, trial)) is None:
-            edges = trial
-        else:
-            i += 1
-    sub = Graph.from_edges(g.n, edges)
-    branch = tuple(v for v in range(g.n) if sub.degree(v) >= 3)
-    degs = sorted(sub.degree(v) for v in branch)
-    if degs == [4] * 5:
-        kind = "K5"
-    elif degs == [3] * 6:
-        kind = "K33"
-    else:  # pragma: no cover - would contradict Kuratowski's theorem
-        raise AssertionError(f"minimal nonplanar subgraph, branch degs {degs}")
-    return KuratowskiWitness(kind, tuple(edges), branch)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: Wagner's theorem by brute-force minor search
-# ---------------------------------------------------------------------------
-
-_ORACLE_LIMIT = 18
-
-
-def planar_by_minors(g: Graph) -> bool:
-    """Slow reference check: planar iff no K5 and no K33 minor.
-
-    Degree-(<=2) reductions preserve planarity in both directions, so the
-    model search only ever sees smallish kernels.  Refuses graphs whose
-    kernel stays above ``_ORACLE_LIMIT`` vertices.
+    ``lowpt[e]`` and ``lowpt2[e]`` are the lowest and second-lowest heights
+    that edges from e's subtree (e itself included) return to.  An edge
+    nests by ``2 * lowpt``, plus one when it is chordal (returns to two
+    distinct heights below its tail).
     """
-    g = _shrink(g)
-    for blk, _ in _block_subgraphs(g):
-        blk = _shrink(blk)
-        if blk.m < 9:
+    adj = g.adj
+    height = [-1] * g.n
+    parent_edge = [-1] * g.n
+    src: list[int] = []
+    dst: list[int] = []
+    lowpt: list[int] = []
+    lowpt2: list[int] = []
+    nesting: list[int] = []
+    roots = []
+
+    def settle(e: int, hv: int, f: int) -> None:
+        # e (tail at height hv) is final: rank it, fold it into f = pe(tail)
+        lo, lo2 = lowpt[e], lowpt2[e]
+        nesting[e] = 2 * lo + (lo2 < hv)
+        if f < 0:
+            return
+        if lo < lowpt[f]:
+            lowpt2[f] = min(lowpt[f], lo2)
+            lowpt[f] = lo
+        elif lo > lowpt[f]:
+            lowpt2[f] = min(lowpt2[f], lo)
+        else:
+            lowpt2[f] = min(lowpt2[f], lo2)
+
+    for root in range(g.n):
+        if height[root] != -1:
             continue
-        h, _ = blk.induced([v for v in range(blk.n) if blk.degree(v) > 0])
-        if h.n > _ORACLE_LIMIT:
-            raise ValueError(f"minor oracle limited to {_ORACLE_LIMIT} vertices")
-        if _has_k5_model(h) or _has_k33_model(h):
-            return False
-    return True
+        height[root] = 0
+        roots.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, nbrs = work[-1]
+            hv = height[v]
+            pe = parent_edge[v]
+            up = src[pe] if pe >= 0 else -1
+            for w in nbrs:
+                hw = height[w]
+                if hw == -1:  # tree edge
+                    parent_edge[w] = len(src)
+                    height[w] = hv + 1
+                    src.append(v)
+                    dst.append(w)
+                    lowpt.append(hv)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    work.append((w, iter(adj[w])))
+                    break
+                if hw < hv and w != up:  # back edge to an ancestor
+                    e = len(src)
+                    src.append(v)
+                    dst.append(w)
+                    lowpt.append(hw)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    settle(e, hv, pe)
+                # else: the tree edge to the parent, or a back edge from a
+                # descendant, both oriented already
+            else:
+                work.pop()
+                if pe >= 0:
+                    settle(pe, hv - 1, parent_edge[up])
+    return _Dfs(g.n, height, parent_edge, src, dst, lowpt, nesting, roots)
 
 
-def _shrink(g: Graph) -> Graph:
-    """Delete degree-<=1 vertices and smooth degree-2 vertices, to a fixpoint."""
-    edges = set(g.edges)
-    alive = set(range(g.n))
-    changed = True
-    while changed:
-        changed = False
-        deg: dict[int, set[int]] = {v: set() for v in alive}
-        for u, v in edges:
-            deg[u].add(v)
-            deg[v].add(u)
-        for v in sorted(alive):
-            nb = deg[v]
-            if len(nb) <= 1:
-                alive.discard(v)
-                edges -= {norm_edge(v, u) for u in nb}
-                changed = True
-                break
-            if len(nb) == 2:
-                a, b = sorted(nb)
-                alive.discard(v)
-                edges -= {norm_edge(v, a), norm_edge(v, b)}
-                edges.add(norm_edge(a, b))
-                changed = True
-                break
-    return Graph.from_edges(g.n, edges)
+def _out_edges(n: int, src: list[int], key: list[int], span: int) -> list[list[int]]:
+    """Each vertex's out-edges in ascending ``key`` (keys in range(span)).
+
+    A bucket sort, so linear; ties keep edge-id order.
+    """
+    buckets: list[list[int]] = [[] for _ in range(span)]
+    for e, k in enumerate(key):
+        buckets[k].append(e)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for b in buckets:
+        for e in b:
+            out[src[e]].append(e)
+    return out
 
 
-def _block_subgraphs(g: Graph):
-    for blk in articulation(g).blocks:
-        vs = sorted({v for e in blk for v in e})
-        sub, order = Graph.from_edges(g.n, blk).induced(vs)
-        yield sub, order
+def _lr_sides(dfs: _Dfs) -> list[int] | None:
+    """Phase 2: a left/right partition of the edges, or None if none exists.
 
+    While the DFS runs, ``side[e]`` is relative: e lies on the same side as
+    ``ref[e]`` when it is +1 and on the other when it is -1.  The returned
+    sides are absolute (+1 right, -1 left).  A conflict pair is a list
+    ``[left.low, left.high, right.low, right.high]`` of edge ids; an
+    interval is empty when its ends are -1.
+    """
+    height, parent_edge = dfs.height, dfs.parent_edge
+    src, dst, lowpt = dfs.src, dfs.dst, dfs.lowpt
+    m = len(src)
+    out = _out_edges(dfs.n, src, dfs.nesting, 2 * dfs.n + 2)
+    ref = [-1] * m
+    side = [1] * m
+    lowpt_edge = [-1] * m
+    bottom: list[list[int] | None] = [None] * m  # top of S when e was entered
+    S: list[list[int]] = []
 
-def _connected_masks(g: Graph) -> list[int]:
-    adjbit = [0] * g.n
-    for u, v in g.edges:
-        adjbit[u] |= 1 << v
-        adjbit[v] |= 1 << u
-    out = []
-    for mask in range(1, 1 << g.n):
-        low = mask & -mask
-        reach = low
+    def add_constraints(ei: int, e: int) -> bool:
+        pll = plh = prl = prh = -1
+        # merge the return edges of ei into P.right
         while True:
-            grow = reach
-            for v in range(g.n):
-                if reach >> v & 1:
-                    grow |= adjbit[v] & mask
-            if grow == reach:
+            q = S.pop()
+            ql, qh, rl, rh = q
+            if ql != -1:
+                ql, qh, rl, rh = rl, rh, ql, qh
+            if ql != -1:
+                return False
+            if lowpt[rl] > lowpt[e]:  # merge intervals
+                if prl == -1:
+                    prh = rh
+                else:
+                    ref[prl] = rh
+                prl = rl
+            else:  # align with e's lowest return edge
+                ref[rl] = lowpt_edge[e]
+            if (S[-1] if S else None) is bottom[ei]:
                 break
-            reach = grow
-        if reach == mask:
-            out.append(mask)
-    return out
+        # merge the conflicting return edges of ei's earlier siblings into P.left
+        lo = lowpt[ei]
+        while S:
+            ql, qh, rl, rh = S[-1]
+            left_hit = qh != -1 and lowpt[qh] > lo
+            right_hit = rh != -1 and lowpt[rh] > lo
+            if not (left_hit or right_hit):
+                break
+            S.pop()
+            if right_hit:
+                ql, qh, rl, rh = rl, rh, ql, qh
+                if left_hit:
+                    return False
+            # the part below lowpt(ei) joins P.right
+            if prl != -1:
+                ref[prl] = rh
+            if rl != -1:
+                prl = rl
+            if pll == -1:
+                plh = qh
+            else:
+                ref[pll] = qh
+            pll = ql
+        if pll != -1 or prl != -1:
+            S.append([pll, plh, prl, prh])
+        return True
 
+    def lowest(p: list[int]) -> int:
+        if p[0] == -1:
+            return lowpt[p[2]]
+        if p[2] == -1:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
 
-def _mask_nbrs(g: Graph, masks: list[int]) -> dict[int, int]:
-    adjbit = [0] * g.n
-    for u, v in g.edges:
-        adjbit[u] |= 1 << v
-        adjbit[v] |= 1 << u
-    out = {}
-    for m in masks:
-        nb = 0
-        for v in range(g.n):
-            if m >> v & 1:
-                nb |= adjbit[v]
-        out[m] = nb & ~m
-    return out
+    def remove_back_edges(e: int) -> None:
+        u = src[e]
+        hu = height[u]
+        # drop whole conflict pairs that return to u
+        while S and lowest(S[-1]) == hu:
+            p = S.pop()
+            if p[0] != -1:
+                side[p[0]] = -1
+        if S:  # trim the top pair's intervals at u
+            p = S[-1]
+            h = p[1]
+            while h != -1 and dst[h] == u:
+                h = ref[h]
+            p[1] = h
+            if h == -1 and p[0] != -1:  # left just emptied
+                ref[p[0]] = p[2]
+                side[p[0]] = -1
+                p[0] = -1
+            h = p[3]
+            while h != -1 and dst[h] == u:
+                h = ref[h]
+            p[3] = h
+            if h == -1 and p[2] != -1:  # right just emptied
+                ref[p[2]] = p[0]
+                side[p[2]] = -1
+                p[2] = -1
+        if lowpt[e] < hu:  # e takes the side of its highest return edge
+            _, hl, _, hr = S[-1]
+            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
+                ref[e] = hl
+            else:
+                ref[e] = hr
 
-
-def _has_k5_model(g: Graph) -> bool:
-    masks = _connected_masks(g)
-    nbr = _mask_nbrs(g, masks)
-    masks.sort(key=lambda m: (m & -m, m))
-
-    def grow(chosen: list[int], used: int, lo: int) -> bool:
-        if len(chosen) == 5:
+    def integrate(ei: int, v: int) -> bool:
+        # fold the return edges of out-edge ei into v's parent edge
+        if lowpt[ei] >= height[v]:
             return True
-        for m in masks:
-            if (m & -m) <= lo or m & used:
-                continue
-            if any(not (nbr[c] & m) for c in chosen):
-                continue
-            if grow(chosen + [m], used | m, m & -m):
-                return True
-        return False
-
-    return grow([], 0, 0)
-
-
-def _has_k33_model(g: Graph) -> bool:
-    masks = _connected_masks(g)
-    nbr = _mask_nbrs(g, masks)
-    masks.sort(key=lambda m: (m & -m, m))
-
-    def pick_b(a: list[int], b: list[int], used: int, lo: int) -> bool:
-        if len(b) == 3:
+        e = parent_edge[v]
+        if ei == out[v][0]:
+            lowpt_edge[e] = lowpt_edge[ei]
             return True
-        for m in masks:
-            if (m & -m) <= lo or m & used:
-                continue
-            if any(not (nbr[x] & m) for x in a):
-                continue
-            if pick_b(a, b + [m], used | m, m & -m):
-                return True
-        return False
+        return add_constraints(ei, e)
 
-    def pick_a(a: list[int], used: int, lo: int) -> bool:
-        if len(a) == 3:
-            return pick_b(a, [], used, a[0] & -a[0])
-        for m in masks:
-            if (m & -m) <= lo or m & used:
-                continue
-            if pick_a(a + [m], used | m, m & -m):
-                return True
-        return False
+    nxt = [0] * dfs.n  # index of each vertex's next out-edge
+    for root in dfs.roots:
+        work = [root]
+        while work:
+            v = work[-1]
+            ov = out[v]
+            i = nxt[v]
+            while i < len(ov):
+                ei = ov[i]
+                i += 1
+                bottom[ei] = S[-1] if S else None
+                w = dst[ei]
+                if parent_edge[w] == ei:  # tree edge: descend
+                    nxt[v] = i
+                    work.append(w)
+                    break
+                lowpt_edge[ei] = ei
+                S.append([-1, -1, ei, ei])
+                if not integrate(ei, v):
+                    return None
+            else:
+                work.pop()
+                e = parent_edge[v]
+                if e >= 0:
+                    remove_back_edges(e)
+                    if not integrate(e, src[e]):
+                        return None
 
-    return pick_a([], 0, 0)
+    # resolve relative sides along the reference chains
+    for e in range(m):
+        chain = []
+        x = e
+        while ref[x] != -1:
+            chain.append(x)
+            x = ref[x]
+        s = side[x]
+        for y in reversed(chain):
+            s *= side[y]
+            side[y] = s
+            ref[y] = -1
+    return side
+
+
+def _embed(dfs: _Dfs, side: list[int]) -> Rotation:
+    """Phase 3: the rotation system from the signed nesting order.
+
+    Half-edge ``2e`` sits at ``src[e]`` and ``2e + 1`` at ``dst[e]``; each
+    vertex keeps its half-edges in a circular doubly linked list.
+    """
+    n, parent_edge, src, dst = dfs.n, dfs.parent_edge, dfs.src, dfs.dst
+    m = len(src)
+    span = 2 * n + 2
+    key = [span + d * s for d, s in zip(dfs.nesting, side)]
+    out = _out_edges(n, src, key, 2 * span)
+    succ = [0] * (2 * m)
+    pred = [0] * (2 * m)
+    first = [-1] * n
+    for v, ov in enumerate(out):
+        if not ov:
+            continue
+        hs = [2 * e for e in ov]
+        for a, b in zip(hs, hs[1:] + hs[:1]):
+            succ[a] = b
+            pred[b] = a
+        first[v] = hs[0]
+
+    def insert_after(a: int, h: int) -> None:
+        b = succ[a]
+        succ[a] = h
+        pred[h] = a
+        succ[h] = b
+        pred[b] = h
+
+    left_ref = [-1] * n  # half-edge before which the next left back edge goes
+    right_ref = [-1] * n  # half-edge after which right back edges go
+    nxt = [0] * n
+    for root in dfs.roots:
+        work = [root]
+        while work:
+            v = work[-1]
+            ov = out[v]
+            i = nxt[v]
+            while i < len(ov):
+                ei = ov[i]
+                i += 1
+                w = dst[ei]
+                h = 2 * ei + 1
+                if parent_edge[w] == ei:  # tree edge: w's half leads w's list
+                    if first[w] == -1:
+                        succ[h] = pred[h] = h
+                    else:
+                        insert_after(pred[first[w]], h)
+                    first[w] = h
+                    left_ref[v] = right_ref[v] = 2 * ei
+                    nxt[v] = i
+                    work.append(w)
+                    break
+                if side[ei] == 1:
+                    insert_after(right_ref[w], h)
+                else:
+                    insert_after(pred[left_ref[w]], h)
+                    left_ref[w] = h
+            else:
+                work.pop()
+
+    rows = []
+    for v in range(n):
+        row = []
+        h = start = first[v]
+        if h != -1:
+            while True:
+                e = h >> 1
+                row.append(src[e] if h & 1 else dst[e])
+                h = succ[h]
+                if h == start:
+                    break
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -168,7 +168,7 @@ def _r2_cut_or_split(inst: Instance) -> Iterator[ReductionStep]:
     if len(comps) >= 2:
         yield ReductionStep("R2", ("split",), _r2_split_runner(inst, comps))
         return
-    for a in sorted(articulation(inst.graph).cuts):
+    for a in sorted(articulation(inst.graph, blocks=False).cuts):
         yield ReductionStep("R2", ("cut", a), _r2_cut_runner(inst, a))
 
 
@@ -491,7 +491,7 @@ def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
     if g.n < 4:
         return
     for u in range(g.n):
-        art = articulation(g, u)
+        art = articulation(g, u, blocks=False)
         if art.components == 1:
             vs: Iterable[int] = sorted(c for c in art.cuts if c > u)
         elif art.components == 2:

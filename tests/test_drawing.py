@@ -178,19 +178,60 @@ for check in checks:
 """
 
 
-def test_cycle_sides_rejects_bad_cycles_under_python_O():
+def run_under_python_O(script):
+    """stdout lines of ``script`` run by ``python -O`` on this package."""
     src = str(pathlib.Path(crosscolor.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-O", "-c", CYCLE_SIDES_UNDER_O],
+        [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
+    return out.stdout.splitlines()
+
+
+def test_cycle_sides_rejects_bad_cycles_under_python_O():
+    lines = run_under_python_O(CYCLE_SIDES_UNDER_O)
     assert len(lines) == 4
     assert "edge (2, 0) missing" in lines[0]
     assert "not a simple cycle" in lines[1]
     assert "splits the plane into 3 parts" in lines[2]
     assert "vertex 7" in lines[3]
+
+
+EMBEDDING_CHECKS_UNDER_O = """
+from crosscolor.drawing import CrossingPair, planarize
+from crosscolor.errors import InvalidInstanceError
+from crosscolor.graphs import Graph
+from crosscolor.planarity import check_euler, try_embedding
+
+c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+rot = try_embedding(c4)
+sticks = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+thrice = [CrossingPair.make((0, 1), e) for e in [(2, 3), (4, 5), (6, 7)]]
+checks = [
+    (AssertionError, lambda: check_euler(c4, rot[:3])),
+    (AssertionError, lambda: check_euler(c4, rot + ((),))),
+    (InvalidInstanceError, lambda: planarize(sticks, thrice)),
+    # edges sharing vertex 1 leave their dummy with degree 3
+    (InvalidInstanceError, lambda: planarize(c4, [CrossingPair.make((0, 1), (1, 2))])),
+]
+for kind, check in checks:
+    try:
+        check()
+    except kind as e:
+        print(e)
+    else:
+        raise SystemExit("bad embedding input went unnoticed")
+"""
+
+
+def test_embedding_checks_survive_python_O():
+    lines = run_under_python_O(EMBEDDING_CHECKS_UNDER_O)
+    assert len(lines) == 4
+    assert "3 rows for a graph on 4 vertices" in lines[0]
+    assert "5 rows for a graph on 4 vertices" in lines[1]
+    assert "edge (0, 1) is crossed more than twice" in lines[2]
+    assert "dummy has degree 3, not 4" in lines[3]

@@ -10,6 +10,7 @@ import itertools
 
 import pytest
 
+import crosscolor.endgame as endgame_mod
 from crosscolor.endgame import (
     EndgameBlocked,
     _escape_recolor_k2,
@@ -202,7 +203,7 @@ def test_no_path_without_an_uncrossed_corner_edge():
     assert find_min_score_path(inst) is None
     counters: dict = {}
     assert endgame_color(inst, counters) is None
-    assert counters == {}
+    assert counters == {"giveup.no_path": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +299,48 @@ def test_escape_branches(build, branch):
     assert counters == {"blocked": 1, "blocked_b3": 1, branch: 1}
     for t in inst.triangle:
         assert out[t] == min(inst.lists[t])
+
+
+def nothing(*args, **kwargs):
+    return None
+
+
+def punt(*args, **kwargs):
+    raise RuleInapplicable("forced punt")
+
+
+GIVEUPS = [
+    pytest.param(
+        {"handle_T_near_X": nothing, "find_min_score_path": nothing},
+        {"giveup.no_path": 1},
+        id="no-path",
+    ),
+    pytest.param(
+        {"color_along_path": punt}, {"giveup.path_punt": 1}, id="path-punt"
+    ),
+    pytest.param(
+        {
+            name: nothing
+            for name in (
+                "_escape_recolor_k2",
+                "_escape_fresh_pair",
+                "_escape_detour_far",
+                "_escape_detour_near",
+            )
+        },
+        {"blocked": 1, "blocked_b3": 1, "giveup.escapes": 1},
+        id="escapes",
+    ),
+]
+
+
+@pytest.mark.parametrize("patches, expected", GIVEUPS)
+def test_every_giveup_is_counted(monkeypatch, patches, expected):
+    for name, fake in patches.items():
+        monkeypatch.setattr(endgame_mod, name, fake)
+    counters: dict = {}
+    assert endgame_color(f1(), counters) is None
+    assert counters == expected
 
 
 def test_slack_escape_spends_a_wide_blocker():

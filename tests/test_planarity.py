@@ -2,21 +2,24 @@
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscolor.errors import NonplanarGraphError
 from crosscolor.generate import random_plane_triangulation
 from crosscolor.graphs import Graph
 from crosscolor.planarity import (
     check_euler,
-    compute_embedding,
     directed_face_index,
     face_walks,
+    try_embedding,
+)
+from planarity_oracle import (
+    NonplanarGraphError,
+    compute_embedding,
     is_planar,
     kuratowski_witness,
     planar_by_minors,
-    try_embedding,
 )
 
 K5 = Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
@@ -116,3 +119,61 @@ def test_embedding_agrees_with_minor_oracle():
         planar_seen += fast
         nonplanar_seen += not fast
     assert planar_seen and nonplanar_seen  # the sample exercised both answers
+
+
+@st.composite
+def glued_graphs(draw):
+    """Graphs of up to about 40 vertices glued from up to four pieces.
+
+    A piece is a thinned plane triangulation, a sparse random graph or a
+    dense one (nonplanar from six vertices on, mostly).  Each piece after
+    the first shares a cut vertex with the earlier ones, hangs off them by
+    a bridge, or stays apart; isolated vertices are added at the end and
+    the labels shuffled, so DFS orders vary.
+    """
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    n = 0
+    edges: list[tuple[int, int]] = []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 10))
+        kind = draw(st.sampled_from(["triangulation", "sparse", "dense"]))
+        if kind == "triangulation" and k >= 3:
+            tri, _ = random_plane_triangulation(k, rng)
+            piece = [e for e in tri if rng.random() < 0.9]
+        else:
+            p = 0.25 if kind == "sparse" else 0.75
+            pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+            piece = [e for e in pairs if rng.random() < p]
+        ids = list(range(n, n + k))
+        glue = draw(st.sampled_from(["apart", "cut", "bridge"])) if n else "apart"
+        if glue == "cut":
+            ids = [rng.randrange(n)] + ids[:-1]
+        elif glue == "bridge":
+            edges.append((rng.randrange(n), ids[0]))
+        n = max(n, *ids) + 1
+        edges += [(ids[a], ids[b]) for a, b in piece]
+    n += draw(st.integers(0, 3))
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+
+
+@given(glued_graphs())
+@settings(max_examples=300, deadline=None)
+def test_embedding_agrees_with_networkx(g):
+    nxg = nx.Graph(g.edges)
+    nxg.add_nodes_from(range(g.n))
+    rot = try_embedding(g)
+    assert (rot is not None) == nx.check_planarity(nxg)[0]
+    if rot is not None:
+        check_euler(g, rot)
+
+
+def test_large_stacked_triangulation_embeds_without_recursion():
+    n = 2000
+    edges, faces = random_plane_triangulation(n, random.Random(2000))
+    g = Graph.from_edges(n, edges)
+    rot = try_embedding(g)  # a recursive DFS would blow the stack here
+    assert rot is not None
+    check_euler(g, rot)
+    assert len(face_walks(rot)) == len(faces)

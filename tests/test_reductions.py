@@ -569,6 +569,16 @@ def test_articulation_with_a_vertex_deleted():
 def test_two_cut_scan_matches_the_pair_loop(name):
     g = named_graphs()[name]
     assert list(_two_cuts(g)) == list(r5_reference(g))
+    # the scan's lean passes (no block lists) agree with full ones
+    for skip in [None, *range(g.n)]:
+        full = articulation(g, skip)
+        lean = articulation(g, skip, blocks=False)
+        assert lean.blocks == []
+        assert (lean.cuts, lean.components, lean.isolated) == (
+            full.cuts,
+            full.components,
+            full.isolated,
+        )
 
 
 @st.composite

@@ -13,7 +13,6 @@ from crosscolor.errors import TaskPreconditionError
 from crosscolor.generate import random_boundary_task, random_plane_triangulation
 from crosscolor.graphs import Graph
 from crosscolor.oracle import exact_list_color, validate_coloring
-from crosscolor.planarity import compute_embedding
 from crosscolor.thomassen import (
     BoundaryTask,
     check_observation_preconditions,
@@ -23,6 +22,7 @@ from crosscolor.thomassen import (
     trace_face,
     validate_task,
 )
+from planarity_oracle import compute_embedding
 
 
 def simple_task(n, edges, lists, x, y):
