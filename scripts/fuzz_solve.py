@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Bulk-solve random drawn instances and tabulate how the pipeline won.
 
-Example:
+Prints the final route of each solve (planar base, reduction, endgame or
+fallback), the rules fired and the endgame events.  Examples:
+
     PYTHONPATH=src python3 scripts/fuzz_solve.py --count 300 --crossings 2 --n-max 40
+    PYTHONPATH=src python3 scripts/fuzz_solve.py --count 500 --crossings 1 --triangle
 
 Run from the root of a checkout, or drop ``PYTHONPATH=src`` after
 ``pip install -e .``.
@@ -30,6 +33,7 @@ def main(argv=None) -> int:
     ap.add_argument("--no-fallback", action="store_true")
     args = ap.parse_args(argv)
 
+    routes = collections.Counter()
     rules = collections.Counter()
     endgame = collections.Counter()
     depths = []
@@ -54,6 +58,14 @@ def main(argv=None) -> int:
         if bad:
             print(f"INVALID coloring at seed {spec.seed}: {bad}", file=sys.stderr)
             return 1
+        if stats.fallback_invocations:
+            routes["fallback"] += 1
+        elif stats.endgame:
+            routes["endgame"] += 1
+        elif stats.steps_applied:
+            routes["reduction"] += 1
+        else:
+            routes["planar-base"] += 1
         rules.update(stats.rules)
         endgame.update(stats.endgame)
         depths.append(stats.max_depth)
@@ -65,6 +77,9 @@ def main(argv=None) -> int:
           f"{cramped} draws skipped as cramped")
     print(f"fallback invocations: {fallbacks}")
     print(f"max recursion depth: {max(depths) if depths else 0}")
+    print("final route:")
+    for key, cnt in routes.most_common():
+        print(f"  {key}: {cnt} ({cnt / done:.1%})")
     print("rule usage:")
     for rule in sorted(rules):
         if rules[rule]:

@@ -138,7 +138,8 @@ def gen_random_instance(spec: GenSpec) -> Instance:
         crossings=crossings,
         triangle=triangle,
     )
-    assert inst.plane is not None, "construction promised a drawing"
+    if inst.plane is None:
+        raise AssertionError("construction promised a drawing")
     return inst
 
 
@@ -166,7 +167,8 @@ def random_boundary_task(
         {v: [0, 1, 2, 3, 4] for v in range(n)},
     )
     pg = inst.plane
-    assert pg is not None
+    if pg is None:
+        raise AssertionError("a plane triangulation minus a vertex has no drawing")
     walks = face_walks(pg.rotation)
     walk = max(walks, key=len) if rng.random() < 0.5 else walks[
         rng.randrange(len(walks))

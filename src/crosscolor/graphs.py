@@ -61,22 +61,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph.from_edges(self.n, list(self.edges) + list(extra))
-
-    def without_edges(self, gone: Iterable[tuple[int, int]]) -> "Graph":
-        dead = {norm_edge(u, v) for u, v in gone}
-        return Graph.from_edges(
-            self.n, [e for e in self.edges if e not in dead]
-        )
-
-    def with_vertex(self, nbrs: Iterable[int]) -> "Graph":
-        """Append vertex ``n`` adjacent to ``nbrs``; returns the new graph."""
-        v = self.n
-        return Graph.from_edges(
-            self.n + 1, list(self.edges) + [(u, v) for u in nbrs]
-        )
-
     def induced(self, keep: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on ``keep``; second value maps new id -> old id."""
         order = tuple(sorted(set(keep)))

@@ -589,7 +589,10 @@ def _r7_disjoint(inst, pg, e, f1, f2) -> Coloring:
     for end in (u, v):
         ds = [d for d in pg.planar.adj[end] if pg.is_dummy(d)]
         own = [d for d in ds if e in pg.crossing_of(d).edges]
-        assert len(own) == 1, "endpoint of a twice-crossed edge sees one of its points"
+        if len(own) != 1:
+            raise AssertionError(
+                "endpoint of a twice-crossed edge sees one of its points"
+            )
         near[end] = pg.crossing_of(own[0])
     for u0, v0 in ((u, v), (v, u)):
         fa = near[u0]
@@ -661,7 +664,8 @@ def crossing_gadget(
     """
     cr = inst.crossings[index]
     e, f = norm_edge(x, xp), norm_edge(y, yp)
-    assert {e, f} == set(cr.edges)
+    if {e, f} != set(cr.edges):
+        raise AssertionError(f"{e} and {f} are not the edges of crossing {index}")
     a = min(inst.lists[x])
     b = min(inst.lists[y] - {a})
     (c,) = _fresh_colors(inst, 1)
@@ -723,7 +727,8 @@ def saturate_crossing_clique(inst: Instance) -> Instance | None:
     crossed edges, but the claim is re-checked by embedding; returns None
     if that fails (the caller then works with the unsaturated instance).
     """
-    assert len(inst.crossings) == 1
+    if len(inst.crossings) != 1:
+        raise AssertionError("clique saturation needs exactly one crossing")
     (cr,) = inst.crossings
     x, xp = cr.a
     y, yp = cr.b

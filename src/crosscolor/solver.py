@@ -107,13 +107,15 @@ def _solve(
     parent = measure(inst)
 
     def solve_child(child: Instance) -> Coloring:
-        assert measure(child) < parent, (
-            f"child {measure(child)} not below parent {parent}"
-        )
+        m = measure(child)
+        if not m < parent:
+            raise AssertionError(f"child {m} not below parent {parent}")
         bad = mode_violations(child)
-        assert not bad, f"reduction built an out-of-shape child: {bad}"
+        if bad:
+            raise AssertionError(f"reduction built an out-of-shape child: {bad}")
         sub = _solve(child, stats, use_fallback, budget, depth + 1)
-        assert sub is not None, "shape-conforming child came back uncolourable"
+        if sub is None:
+            raise AssertionError("shape-conforming child came back uncolourable")
         return sub
 
     for step in iter_reduction_steps(inst):
@@ -144,7 +146,8 @@ def _solve(
 
 def _planar_base(inst: Instance) -> Coloring | None:
     pg = inst.plane
-    assert pg is not None and not pg.crossings
+    if pg is None or pg.crossings:
+        raise AssertionError("planar base needs a crossing-free drawing")
     if inst.triangle is None:
         return observation_extend(pg, inst.lists, {})
     for pin in inst.triangle:

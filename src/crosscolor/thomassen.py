@@ -1,20 +1,22 @@
-"""Recursive list colouring of plane graphs, and colouring by subtraction.
+"""List colouring of plane graphs, and colouring by subtraction.
 
 ``thomassen_color`` solves a :class:`BoundaryTask`: a plane graph where the
 vertices of one designated face may have lists cut down to 3 colours (and a
 distinguished adjacent pair on it down to 1), everyone else holding 5.  The
-recursion is the classical one: pick a chord of the outer cycle and split,
-or delete the outer neighbour of ``x`` opposite ``y`` after reserving two of
-its colours, which costs the deleted vertex's inner fan at most two list
-entries.  Blocks are handled by colouring the block containing ``xy`` first
-and walking the block tree outward; inner faces are triangulated up front so
-every 2-connected piece stays 2-connected throughout.
+engine is the classical recursion: split along a chord of the outer cycle,
+or peel the outer neighbour of ``x`` opposite ``y`` after reserving two of
+its colours, which costs the peeled vertex's inner fan at most two list
+entries.  Peels run as a loop; only chord splits recurse.  Blocks are
+handled by colouring the block containing ``xy`` first and walking the
+block tree outward; inner faces are triangulated up front so every
+2-connected piece stays 2-connected throughout.
 
 ``observation_extend`` is the glue used everywhere else in the package: given
 a partial colouring ``psi`` of some set S, it subtracts the used colours from
 the neighbours' lists, restricts the drawing to the remainder, checks that
-all shortened lists sit together on one face per component, and finishes
-with boundary tasks.
+all shortened lists sit together on one face per component, and colours the
+remainder in one engine run on the restricted drawing.  Both entry points
+hand the engine one ``(component, x, y)`` piece per component.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from typing import Mapping, Sequence
 
 from .drawing import PlaneGraph, restrict_plane
 from .errors import InvalidColoringError, TaskPreconditionError
-from .graphs import Graph, articulation, components, norm_edge
+from .graphs import Graph, articulation, components
 from .oracle import validate_coloring
 from .planarity import Rotation, check_euler, face_walks
 
 Coloring = dict[int, int]
+Piece = tuple[list[int], int, int | None]
 
 
 def trace_face(
@@ -101,31 +104,48 @@ def validate_task(task: BoundaryTask) -> None:
 def thomassen_color(task: BoundaryTask) -> Coloring:
     """Proper colouring from the lists of a valid task (always succeeds)."""
     validate_task(task)
-    eng = _Engine(task.graph, task.rotation, task.lists)
-    for comp in components(task.graph):
-        scope = set(comp)
-        if task.x in scope:
-            eng.color_component(scope, task.x, task.y)
+    g = task.graph
+    pieces: list[Piece] = []
+    for comp in components(g):
+        if task.x in comp:
+            pieces.append((comp, task.x, task.y))
         elif len(comp) == 1:
-            eng.phi[comp[0]] = min(eng.lists[comp[0]])
+            pieces.append((comp, comp[0], None))
         else:
-            a = comp[0]
-            b = min(eng.graph_adj(a, scope))
-            eng.color_component(scope, a, b)
-    bad = validate_coloring(task.graph, task.lists, eng.phi)
+            pieces.append((comp, comp[0], g.adj[comp[0]][0]))
+    phi = _color_pieces(g, task.rotation, task.lists, pieces)
+    bad = validate_coloring(g, task.lists, phi)
     if bad:
         raise InvalidColoringError(
             f"boundary recursion produced an invalid colouring: {bad}"
         )
+    return phi
+
+
+def _color_pieces(
+    g: Graph, rotation: Rotation, lists: Sequence[frozenset], pieces: list[Piece]
+) -> Coloring:
+    """Colour every ``(comp, x, y)`` piece with outer face(x -> y) in one run.
+
+    A lone vertex comes with ``y = None`` and takes its least colour.  The
+    caller has settled the :class:`BoundaryTask` conditions of every piece.
+    """
+    eng = _Engine(g, rotation, lists)
+    for comp, x, y in pieces:
+        if y is None:
+            eng.phi[x] = min(eng.lists[x])
+        else:
+            eng.color_component(set(comp), x, y)
     return eng.phi
 
 
 class _Engine:
-    """Mutable state for one thomassen_color run.
+    """Mutable state for one colouring run over a whole plane graph.
 
     The rotation rows and adjacency sets are copies: triangulation inserts
     helper diagonals into them.  Colouring a supergraph properly colours the
-    task graph, and the final validation runs against the original.
+    task graph, and the final validation runs against the original.  The
+    blocks (as vertex sets) come from one pass over the original graph.
     """
 
     def __init__(self, g: Graph, rotation: Rotation, lists: Sequence[frozenset]):
@@ -133,42 +153,25 @@ class _Engine:
         self.rot: list[list[int]] = [list(r) for r in rotation]
         self.lists: list[set[int]] = [set(s) for s in lists]
         self.phi: Coloring = {}
-
-    def graph_adj(self, v: int, scope: set[int]) -> list[int]:
-        return sorted(self.adj[v] & scope)
+        self.blocks: list[set[int]] = [
+            {v for e in blk for v in e} for blk in articulation(g).blocks
+        ]
 
     # -- block layer --------------------------------------------------
 
     def color_component(self, scope: set[int], x: int, y: int) -> None:
         """Colour one connected component, outer face = face(x -> y)."""
         self._pin_pair(x, y)
-        order = sorted(scope)
-        back = {v: i for i, v in enumerate(order)}
-        sub = Graph.from_edges(
-            len(order),
-            [
-                (back[u], back[v])
-                for u in order
-                for v in self.adj[u]
-                if v in scope and u < v
-            ],
-        )
-        raw_blocks = articulation(sub).blocks
-        blocks = [
-            sorted(norm_edge(order[a], order[b]) for a, b in blk)
-            for blk in raw_blocks
-        ]
-        bverts = [{v for e in blk for v in e} for blk in blocks]
-        root = next(
-            i for i, blk in enumerate(blocks) if norm_edge(x, y) in blk
-        )
+        # a block lies in one component; the one holding x and y has edge xy
+        bverts = [b for b in self.blocks if next(iter(b)) in scope]
+        root = next(i for i, b in enumerate(bverts) if x in b and y in b)
         self._color_block(bverts[root], x, y)
         done = {root}
         processed = [root]
-        while len(done) < len(blocks):
+        while len(done) < len(bverts):
             step = None
             for pi in processed:
-                for bi in range(len(blocks)):
+                for bi in range(len(bverts)):
                     if bi in done:
                         continue
                     shared = bverts[pi] & bverts[bi]
@@ -177,7 +180,8 @@ class _Engine:
                         break
                 if step:
                     break
-            assert step is not None, "block tree is disconnected"
+            if step is None:
+                raise AssertionError("block tree is disconnected")
             pi, bi, c = step
             if len(bverts[bi]) == 2:
                 (d,) = bverts[bi] - {c}
@@ -242,7 +246,7 @@ class _Engine:
         for i, u in enumerate(outer):
             seen.add((u, outer[(i + 1) % len(outer)]))
         for u in sorted(scope):
-            for v in self.graph_adj(u, scope):
+            for v in sorted(self.adj[u] & scope):
                 if (u, v) in seen:
                     continue
                 w = trace_face(self.rot, scope, u, v)
@@ -271,13 +275,15 @@ class _Engine:
         self.rot[w].insert(self.rot[w].index(v) + 1, u)
 
     def _recurse(self, scope: set[int], x: int, y: int) -> None:
-        while True:
-            if len(scope) <= 2:
-                self._color_edge(x, y)
-                return
+        """Peel outer neighbours of x until a chord or an edge is left.
+
+        Chord splits recurse; peeled vertices take their colours last-first.
+        """
+        peeled: list[tuple[int, int, int, int]] = []
+        while len(scope) > 2:
             cyc = trace_face(self.rot, scope, x, y)
-            p = len(cyc)
-            assert len(set(cyc)) == p, "outer walk is not a simple cycle"
+            if len(set(cyc)) != len(cyc):
+                raise AssertionError("outer walk is not a simple cycle")
             chord = self._find_chord(scope, cyc)
             if chord is not None:
                 i, j = chord
@@ -296,7 +302,7 @@ class _Engine:
                 if set(probe) != set(cyc_far) or len(probe) != len(cyc_far):
                     u, w = w, u
                 self._recurse(sc2, u, w)
-                return
+                break
             # no chord: peel the outer neighbour of x opposite y
             v, w = cyc[-1], cyc[-2]
             cx = min(self.lists[x])
@@ -305,9 +311,11 @@ class _Engine:
                 if h not in (x, w):
                     self.lists[h] -= {c1, c2}
             scope.remove(v)
-            self._recurse(scope, x, y)
+            peeled.append((v, w, c1, c2))
+        else:
+            self._color_edge(x, y)
+        for v, w, c1, c2 in reversed(peeled):
             self.phi[v] = c1 if self.phi[w] != c1 else c2
-            return
 
     def _find_chord(self, scope: set[int], cyc: list[int]) -> tuple[int, int] | None:
         p = len(cyc)
@@ -373,19 +381,20 @@ def observation_extend(
     psi: Mapping[int, int],
     pair: tuple[int, int] | None = None,
 ) -> Coloring | None:
-    """Extend ``psi`` to all of the graph through boundary tasks.
+    """Extend ``psi`` to all of the graph by colouring the plane remainder.
 
     ``pair`` optionally dictates which two adjacent vertices must serve as
     the soft pair of their component (their shortened lists may drop to 1).
     Returns None when the preconditions fail; never returns an improper
     colouring (the result is validated).
     """
-    bad, plans = _plan_extension(pg, lists, psi, pair)
+    bad, plan = _plan_extension(pg, lists, psi, pair)
     if bad:
         return None
+    sub, rot, order, res, pieces = plan
     phi: Coloring = dict(psi)
-    for plan in plans:
-        phi.update(plan())
+    for v, c in _color_pieces(sub, rot, res, pieces).items():
+        phi[order[v]] = c
     errors = validate_coloring(pg.real, lists, phi)
     if errors:
         raise InvalidColoringError(f"extension broke the colouring: {errors}")
@@ -408,11 +417,11 @@ def _plan_extension(pg, lists, psi, pair):
         elif not g.has_edge(pu, pv):
             bad.append(("pair-not-edge", min(pair)))
     if bad:
-        return bad, []
+        return bad, None
     sub, order = g.induced([v for v in range(g.n) if v not in psi])
     rest = restrict_plane(pg, sub, order)
     if rest.crossings:
-        return [("crossing-survives", None)], []
+        return [("crossing-survives", None)], None
     rot = rest.rotation
     back = {old: new for new, old in enumerate(order)}
     res = residual_lists(g, lists, psi)
@@ -421,14 +430,14 @@ def _plan_extension(pg, lists, psi, pair):
         if not L:
             bad.append(("empty-list", v))
     if bad:
-        return bad, []
+        return bad, None
 
     walks = face_walks(rot)
     comp_list = components(sub)
     want = None
     if pair is not None:
         want = (back[pair[0]], back[pair[1]])
-    plans = []
+    pieces: list[Piece] = []
     for comp in comp_list:
         cset = set(comp)
         small = sorted(v for v in cset & short if len(res[order[v]]) <= 2)
@@ -458,35 +467,16 @@ def _plan_extension(pg, lists, psi, pair):
                 continue
         need = cset & short
         if len(comp) == 1:
-            v = comp[0]
-            plans.append(_single_plan(order[v], res[order[v]]))
+            pieces.append((comp, comp[0], None))
             continue
         found = _face_for(walks, cset, need, forced, small)
         if found is None:
             witness = min(need) if need else comp[0]
             bad.append(("no-common-face", order[witness]))
             continue
-        xx, yy = found
-        plans.append(_task_plan(sub, rot, order, res, cset, xx, yy))
-    return bad, (plans if not bad else [])
-
-
-def _single_plan(real_v: int, colors: frozenset):
-    return lambda: {real_v: min(colors)}
-
-
-def _task_plan(sub, rot, order, res, cset, xx, yy):
-    def run() -> Coloring:
-        comp = sorted(cset)
-        loc = {v: i for i, v in enumerate(comp)}
-        g2, _ = sub.induced(comp)
-        rot2 = tuple(tuple(loc[w] for w in rot[v]) for v in comp)
-        lists2 = tuple(res[order[v]] for v in comp)
-        task = BoundaryTask(g2, rot2, lists2, loc[xx], loc[yy])
-        phi2 = thomassen_color(task)
-        return {order[comp[v]]: c for v, c in phi2.items()}
-
-    return run
+        pieces.append((comp, *found))
+    plan = (sub, rot, order, [res[v] for v in order], pieces)
+    return bad, (None if bad else plan)
 
 
 def _face_for(walks, cset, need, forced, small):

@@ -16,6 +16,7 @@ from crosscolor.oracle import exact_list_color, validate_coloring
 from crosscolor.solver import solve
 
 from conftest import icosa_instance
+from test_drawing import run_under_python_O
 
 FIVE = [0, 1, 2, 3, 4]
 
@@ -185,12 +186,12 @@ solver.endgame_color = lambda inst, events: dict.fromkeys(range(inst.n), 0)
 solver.solve(K5X_PINNED)
 """, "endgame recombined badly"),
     "observation-extend": ("""
-thomassen.thomassen_color = lambda task: dict.fromkeys(range(task.graph.n), 0)
+thomassen._color_pieces = lambda g, rotation, lists, pieces: dict.fromkeys(range(g.n), 0)
 thomassen.observation_extend(K4.plane, K4.lists, {})
 """, "extension broke the colouring"),
     "thomassen-color": ("""
 thomassen._Engine.color_component = lambda self, scope, x, y: None
-thomassen.observation_extend(K4.plane, K4.lists, {})
+thomassen.thomassen_color(thomassen.BoundaryTask(K4.graph, K4.plane.rotation, K4.lists, 0, 1))
 """, "boundary recursion produced an invalid colouring"),
 }
 
@@ -239,3 +240,26 @@ def test_bad_colourings_are_caught_under_python_O(case):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith(message)
+
+
+UNSHRUNK_CHILD_UNDER_O = """
+import crosscolor.solver as solver
+from crosscolor.instance import make_instance
+from crosscolor.reductions import ReductionStep
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K5X = make_instance(5, K5, [range(5)] * 5, crossings=[((0, 3), (1, 4))])
+same = ReductionStep("R1", (0,), lambda solve_child: solve_child(K5X))
+solver.iter_reduction_steps = lambda inst: iter([same])
+try:
+    solver.solve(K5X)
+except AssertionError as e:
+    print(e)
+else:
+    raise SystemExit("a child as large as its parent went unnoticed")
+"""
+
+
+def test_child_that_does_not_shrink_is_caught_under_python_O():
+    (line,) = run_under_python_O(UNSHRUNK_CHILD_UNDER_O)
+    assert line == "child (1, 5, -10) not below parent (1, 5, -10)"

@@ -23,6 +23,7 @@ from crosscolor.thomassen import (
     validate_task,
 )
 from planarity_oracle import compute_embedding
+from test_drawing import run_under_python_O
 
 
 def simple_task(n, edges, lists, x, y):
@@ -205,6 +206,35 @@ def test_chord_split_matches_the_face_sides_on_a_grid():
         phi = thomassen_color(task)
     assert validate_coloring(task.graph, task.lists, phi) == []
     assert calls and max(calls) > 0
+
+
+def test_large_grid_peels_without_recursion_error():
+    """Peels loop in one frame, so a 35x35 grid stays inside Python's stack."""
+    task = grid_task(35)
+    phi = thomassen_color(task)
+    assert validate_coloring(task.graph, task.lists, phi) == []
+
+
+BOWTIE_UNDER_O = """
+from crosscolor.graphs import Graph
+from crosscolor.planarity import try_embedding
+from crosscolor.thomassen import _Engine, trace_face
+
+g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+rot = try_embedding(g)
+x, y = (0, 1) if len(trace_face(rot, None, 0, 1)) == 6 else (1, 0)
+try:
+    _Engine(g, rot, [frozenset(range(5))] * 5)._recurse(set(range(5)), x, y)
+except AssertionError as e:
+    print(e)
+else:
+    raise SystemExit("bowtie scope went unnoticed")
+"""
+
+
+def test_recurse_rejects_a_bowtie_scope_under_python_O():
+    """Two triangles on one cut vertex: the outer walk meets it twice."""
+    assert run_under_python_O(BOWTIE_UNDER_O) == ["outer walk is not a simple cycle"]
 
 
 def test_trace_face_respects_scope():
