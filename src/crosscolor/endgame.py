@@ -18,6 +18,7 @@ geometry it expects is absent; the caller falls back to exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from .errors import RuleInapplicable
@@ -316,8 +317,10 @@ def color_along_path(
     g = inst.graph
     path = list(path)
     k = len(path)
-    assert k >= 3 and path[0] in inst.triangle
-    assert all(g.has_edge(path[i], path[i + 1]) for i in range(k - 1))
+    if k < 3 or path[0] not in inst.triangle:
+        raise AssertionError(f"path {path} is too short or starts off the triangle")
+    if not all(g.has_edge(path[i], path[i + 1]) for i in range(k - 1)):
+        raise AssertionError(f"path {path} is not a walk of the graph")
     charged = compute_g(inst, path)
 
     # the unpinned corners count as coloured throughout, so nothing on the
@@ -331,8 +334,8 @@ def color_along_path(
         for u in g.adj[v]:
             if u in live:
                 live[u].discard(c)
-        fresh = _residuals(inst, psi)
-        assert live == fresh, "incremental residuals drifted"
+        if live != _residuals(inst, psi):
+            raise AssertionError("incremental residuals drifted")
 
     forbidden = set().union(*(inst.lists[t] for t in inst.triangle))
     p2 = sorted(set(inst.lists[path[1]]) - forbidden)
@@ -374,8 +377,12 @@ def color_along_path(
 # ---------------------------------------------------------------------------
 
 
+def _hit(counters: dict[str, int], name: str) -> None:
+    counters[name] = counters.get(name, 0) + 1
+
+
 def resolve_blocked_endgame(
-    inst: Instance, st: EndgameBlocked, counters: dict | None = None
+    inst: Instance, st: EndgameBlocked, counters: dict[str, int]
 ) -> Coloring | None:
     """Work around a blocked last step.
 
@@ -385,11 +392,6 @@ def resolve_blocked_endgame(
     the tail to the far partner corner; reroute over the chord to the near
     partner corner.  None when every escape fails.
     """
-
-    def hit(name: str) -> None:
-        if counters is not None:
-            counters[name] = counters.get(name, 0) + 1
-
     path = list(st.path)
     k = len(path)
 
@@ -400,22 +402,22 @@ def resolve_blocked_endgame(
         except RuleInapplicable:
             res = None
         if isinstance(res, dict):
-            hit("swapped")
+            _hit(counters, "swapped")
             return res
 
     for name, branch in (
-        ("slack", _escape_recolor_k2),
-        ("offset", _escape_recolor_k2),
+        ("slack", partial(_escape_recolor_k2, slack_only=True)),
+        ("offset", partial(_escape_recolor_k2, slack_only=False)),
         ("fresh_pair", _escape_fresh_pair),
         ("detour_far", _escape_detour_far),
         ("detour_near", _escape_detour_near),
     ):
         try:
-            phi = branch(inst, st, slack_only=(name == "slack"))
+            phi = branch(inst, st)
         except RuleInapplicable:
             phi = None
         if phi is not None:
-            hit(name)
+            _hit(counters, name)
             return phi
     return None
 
@@ -449,9 +451,7 @@ def _escape_recolor_k2(
     return None
 
 
-def _escape_fresh_pair(
-    inst: Instance, st: EndgameBlocked, slack_only: bool
-) -> Coloring | None:
+def _escape_fresh_pair(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     """Recolour p_{k-1} off the contested triple so p_k escapes it."""
     path = list(st.path)
     pk1, pk = path[-2], path[-1]
@@ -472,9 +472,7 @@ def _partner(inst: Instance, v: int) -> int:
     return e[0] if e[1] == v else e[1]
 
 
-def _escape_detour_far(
-    inst: Instance, st: EndgameBlocked, slack_only: bool
-) -> Coloring | None:
+def _escape_detour_far(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     """Keep the whole path coloured and end the walk on p_k's partner.
 
     z' (the other endpoint of p_k's crossed edge) takes a colour off the
@@ -489,9 +487,7 @@ def _escape_detour_far(
     return _replay_tail(inst, st, dict(st.psi), [zp])
 
 
-def _escape_detour_near(
-    inst: Instance, st: EndgameBlocked, slack_only: bool
-) -> Coloring | None:
+def _escape_detour_near(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     """Cut the corner: ... p_{k-2}, p_k, then p_{k-1}'s partner.
 
     Uses the chord that every blocked state has.  p_{k-1} is uncoloured
@@ -536,37 +532,32 @@ def _replay_tail(
 # ---------------------------------------------------------------------------
 
 
-def endgame_color(inst: Instance, counters: dict | None = None) -> Coloring | None:
+def endgame_color(inst: Instance, counters: dict[str, int]) -> Coloring | None:
     """Full endgame: direct seeds, then the path machinery with escapes.
 
     Every None is counted under ``giveup.<reason>``: ``no_path`` (no
     triangle-to-crossing walk), ``path_punt`` (the walk's colouring punted)
     or ``escapes`` (a blocked last step that no escape resolved).
     """
-
-    def hit(name: str) -> None:
-        if counters is not None:
-            counters[name] = counters.get(name, 0) + 1
-
     phi = handle_T_near_X(inst)
     if phi is not None:
-        hit("near_x")
+        _hit(counters, "near_x")
         return phi
     path = find_min_score_path(inst)
     if path is None:
-        hit("giveup.no_path")
+        _hit(counters, "giveup.no_path")
         return None
     try:
         res = color_along_path(inst, path)
     except RuleInapplicable:
-        hit("giveup.path_punt")
+        _hit(counters, "giveup.path_punt")
         return None
     if isinstance(res, dict):
-        hit("path")
+        _hit(counters, "path")
         return res
-    hit("blocked")
-    hit(f"blocked_b{len(res.live)}")
+    _hit(counters, "blocked")
+    _hit(counters, f"blocked_b{len(res.live)}")
     phi = resolve_blocked_endgame(inst, res, counters)
     if phi is None:
-        hit("giveup.escapes")
+        _hit(counters, "giveup.escapes")
     return phi

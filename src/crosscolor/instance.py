@@ -173,9 +173,13 @@ def parse_instance(data: str | bytes | dict) -> Instance:
             raise InvalidInstanceError(f"bad {what} {x!r}")
         return (x[0], x[1])
 
+    raw_crossings = data.get("crossings") or []
+    for key, raw in (("edges", data["edges"]), ("crossings", raw_crossings)):
+        if not isinstance(raw, (list, tuple)):
+            raise InvalidInstanceError(f"{key} must be a list")
     edges = [pair(e, "edge") for e in data["edges"]]
     crossings = []
-    for c in data.get("crossings") or []:
+    for c in raw_crossings:
         if not isinstance(c, dict) or set(c) != {"a", "b"}:
             raise InvalidInstanceError(f"bad crossing {c!r}")
         crossings.append((pair(c["a"], "crossing edge"), pair(c["b"], "crossing edge")))
@@ -196,7 +200,11 @@ def parse_instance(data: str | bytes | dict) -> Instance:
     tri = data.get("triangle")
     triangle = None
     if tri is not None:
-        if not isinstance(tri, (list, tuple)) or len(tri) != 3:
+        if (
+            not isinstance(tri, (list, tuple))
+            or len(tri) != 3
+            or not all(isinstance(v, int) for v in tri)
+        ):
             raise InvalidInstanceError(f"bad triangle {tri!r}")
         triangle = (tri[0], tri[1], tri[2])
     try:

@@ -6,9 +6,10 @@ distinguished adjacent pair on it down to 1), everyone else holding 5.  The
 engine is the classical recursion: split along a chord of the outer cycle,
 or peel the outer neighbour of ``x`` opposite ``y`` after reserving two of
 its colours, which costs the peeled vertex's inner fan at most two list
-entries.  Peels run as a loop; only chord splits recurse.  Blocks are
-handled by colouring the block containing ``xy`` first and walking the
-block tree outward; inner faces are triangulated up front so every
+entries.  Chord sides and peeled vertices share one work stack, so
+nothing recurses.  Blocks are handled by colouring the block containing
+``xy`` first and walking the block tree outward, breadth-first through a
+vertex -> blocks index; inner faces are triangulated up front so every
 2-connected piece stays 2-connected throughout.
 
 ``observation_extend`` is the glue used everywhere else in the package: given
@@ -145,7 +146,8 @@ class _Engine:
     The rotation rows and adjacency sets are copies: triangulation inserts
     helper diagonals into them.  Colouring a supergraph properly colours the
     task graph, and the final validation runs against the original.  The
-    blocks (as vertex sets) come from one pass over the original graph.
+    blocks (as vertex sets) come from one pass over the original graph,
+    and ``at[v]`` lists the blocks holding v in block order.
     """
 
     def __init__(self, g: Graph, rotation: Rotation, lists: Sequence[frozenset]):
@@ -156,45 +158,38 @@ class _Engine:
         self.blocks: list[set[int]] = [
             {v for e in blk for v in e} for blk in articulation(g).blocks
         ]
+        self.at: list[list[int]] = [[] for _ in range(g.n)]
+        for b, blk in enumerate(self.blocks):
+            for v in blk:
+                self.at[v].append(b)
 
     # -- block layer --------------------------------------------------
 
     def color_component(self, scope: set[int], x: int, y: int) -> None:
-        """Colour one connected component, outer face = face(x -> y)."""
+        """Colour one connected component, outer face = face(x -> y).
+
+        The block holding xy goes first.  The block tree is then walked
+        breadth-first: each block takes its uncoloured neighbour blocks in
+        block order, entering each at the one vertex they share.
+        """
         self._pin_pair(x, y)
-        # a block lies in one component; the one holding x and y has edge xy
-        bverts = [b for b in self.blocks if next(iter(b)) in scope]
-        root = next(i for i, b in enumerate(bverts) if x in b and y in b)
-        self._color_block(bverts[root], x, y)
-        done = {root}
-        processed = [root]
-        while len(done) < len(bverts):
-            step = None
-            for pi in processed:
-                for bi in range(len(bverts)):
-                    if bi in done:
-                        continue
-                    shared = bverts[pi] & bverts[bi]
-                    if shared:
-                        step = (pi, bi, min(shared))
-                        break
-                if step:
-                    break
-            if step is None:
-                raise AssertionError("block tree is disconnected")
-            pi, bi, c = step
-            if len(bverts[bi]) == 2:
-                (d,) = bverts[bi] - {c}
-                if d not in self.phi:
-                    self.phi[d] = min(self.lists[d] - {self.phi[c]})
-            else:
-                a = self._corner_hunt(scope, c, bverts[pi], bverts[bi])
-                walk = trace_face(self.rot, bverts[bi], a, c)
-                z = walk[(walk.index(c) + 1) % len(walk)]
-                self.lists[c] = {self.phi[c]}
-                self._color_block(bverts[bi], c, z)
-            done.add(bi)
-            processed.append(bi)
+        root = next(b for b in self.at[x] if y in self.blocks[b])
+        self._color_block(self.blocks[root], x, y)
+        done, queue, reached = {root}, [root], set()
+        for pi in queue:
+            parent = self.blocks[pi]
+            fresh = parent - reached
+            reached |= fresh
+            for bi in sorted({b for v in fresh for b in self.at[v]} - done):
+                child = self.blocks[bi]
+                (c,) = parent & child
+                a = self._corner_hunt(c, parent, child)
+                walk = trace_face(self.rot, child, a, c)
+                self._color_block(child, c, walk[(walk.index(c) + 1) % len(walk)])
+                done.add(bi)
+                queue.append(bi)
+        if reached != scope:
+            raise AssertionError("block tree is disconnected")
 
     def _pin_pair(self, x: int, y: int) -> None:
         """Shrink x to a single colour compatible with y (see case (b))."""
@@ -203,16 +198,14 @@ class _Engine:
             avoid = ly if len(ly) == 1 else set()
             self.lists[x] = {min(lx - avoid)}
 
-    def _corner_hunt(
-        self, scope: set[int], c: int, parent: set[int], child: set[int]
-    ) -> int:
+    def _corner_hunt(self, c: int, parent: set[int], child: set[int]) -> int:
         """Neighbour a of c in the child block whose corner faces the parent.
 
         Blocks at a cut vertex nest like parentheses in its rotation; the
         child-block face that contains the already-coloured parent block is
         the gap found by scanning backwards from any parent slot.
         """
-        row = [w for w in self.rot[c] if w in scope]
+        row = self.rot[c]
         ref = next(i for i, w in enumerate(row) if w in parent and w != c)
         for off in range(1, len(row) + 1):
             w = row[(ref - off) % len(row)]
@@ -223,12 +216,9 @@ class _Engine:
     # -- one 2-connected block ----------------------------------------
 
     def _color_block(self, bscope: set[int], x: int, y: int) -> None:
-        scope = set(bscope)
-        if len(scope) <= 2:
-            self._color_edge(x, y)
-            return
-        self._triangulate(scope, x, y)
-        self._recurse(scope, x, y)
+        if len(bscope) > 2:
+            self._triangulate(bscope, x, y)
+        self._recurse(set(bscope), x, y)
 
     def _color_edge(self, x: int, y: int) -> None:
         first, second = (y, x) if len(self.lists[y]) == 1 else (x, y)
@@ -241,7 +231,6 @@ class _Engine:
         """Add diagonals until every inner face of the block is a triangle."""
         inner: list[list[int]] = []
         seen = {(x, y)}
-        stack = [(x, y)]
         outer = trace_face(self.rot, scope, x, y)
         for i, u in enumerate(outer):
             seen.add((u, outer[(i + 1) % len(outer)]))
@@ -254,9 +243,9 @@ class _Engine:
                     seen.add((a, w[(i + 1) % len(w)]))
                 inner.append(w)
         for f in inner:
-            self._fan_face(scope, f)
+            self._fan_face(f)
 
-    def _fan_face(self, scope: set[int], face: list[int]) -> None:
+    def _fan_face(self, face: list[int]) -> None:
         while len(face) > 3:
             for i in range(len(face)):
                 u, v, w = face[i - 1], face[i], face[(i + 1) % len(face)]
@@ -275,49 +264,58 @@ class _Engine:
         self.rot[w].insert(self.rot[w].index(v) + 1, u)
 
     def _recurse(self, scope: set[int], x: int, y: int) -> None:
-        """Peel outer neighbours of x until a chord or an edge is left.
+        """Colour a block scope with outer face(x -> y) off one work stack.
 
-        Chord splits recurse; peeled vertices take their colours last-first.
+        A scope item ``(scope, x, y)`` peels outer neighbours of x until a
+        chord or an edge is left; a chord split stacks its far side, then its
+        near side.  Each peel stacks ``(v, w, c1, c2)``, so peeled vertices
+        take their colours last-first, after everything stacked above them.
+        A scope entered with x or y already coloured pins that list.
         """
-        peeled: list[tuple[int, int, int, int]] = []
-        while len(scope) > 2:
-            cyc = trace_face(self.rot, scope, x, y)
-            if len(set(cyc)) != len(cyc):
-                raise AssertionError("outer walk is not a simple cycle")
-            chord = self._find_chord(scope, cyc)
-            if chord is not None:
-                i, j = chord
-                if i == 0:
-                    cyc_xy, cyc_far = cyc[: j + 1], cyc[j:] + [cyc[0]]
-                else:
-                    cyc_xy, cyc_far = cyc[j:] + cyc[: i + 1], cyc[i : j + 1]
-                far = self._far_side(scope, cyc_far)
-                near = (scope - far - set(cyc_far)) | set(cyc_xy)
-                self._recurse(near, x, y)
-                u, w = cyc[i], cyc[j]
-                self.lists[u] = {self.phi[u]}
-                self.lists[w] = {self.phi[w]}
-                sc2 = far | set(cyc_far)
-                probe = trace_face(self.rot, sc2, u, w)
-                if set(probe) != set(cyc_far) or len(probe) != len(cyc_far):
-                    u, w = w, u
-                self._recurse(sc2, u, w)
-                break
-            # no chord: peel the outer neighbour of x opposite y
-            v, w = cyc[-1], cyc[-2]
-            cx = min(self.lists[x])
-            c1, c2 = sorted(self.lists[v] - {cx})[:2]
-            for h in self.adj[v] & scope:
-                if h not in (x, w):
-                    self.lists[h] -= {c1, c2}
-            scope.remove(v)
-            peeled.append((v, w, c1, c2))
-        else:
-            self._color_edge(x, y)
-        for v, w, c1, c2 in reversed(peeled):
-            self.phi[v] = c1 if self.phi[w] != c1 else c2
+        work: list[tuple] = [(scope, x, y)]
+        while work:
+            item = work.pop()
+            if len(item) == 4:
+                v, w, c1, c2 = item
+                self.phi[v] = c1 if self.phi[w] != c1 else c2
+                continue
+            scope, x, y = item
+            for u in (x, y):
+                if u in self.phi:
+                    self.lists[u] = {self.phi[u]}
+            while len(scope) > 2:
+                cyc = trace_face(self.rot, scope, x, y)
+                if len(set(cyc)) != len(cyc):
+                    raise AssertionError("outer walk is not a simple cycle")
+                chord = self._find_chord(cyc)
+                if chord is not None:
+                    i, j = chord
+                    if i == 0:
+                        cyc_xy, cyc_far = cyc[: j + 1], cyc[j:] + [cyc[0]]
+                    else:
+                        cyc_xy, cyc_far = cyc[j:] + cyc[: i + 1], cyc[i : j + 1]
+                    far = self._far_side(scope, cyc_far)
+                    near = (scope - far - set(cyc_far)) | set(cyc_xy)
+                    u, w = cyc[i], cyc[j]
+                    sc2 = far | set(cyc_far)
+                    probe = trace_face(self.rot, sc2, u, w)
+                    if set(probe) != set(cyc_far) or len(probe) != len(cyc_far):
+                        u, w = w, u
+                    work += [(sc2, u, w), (near, x, y)]
+                    break
+                # no chord: peel the outer neighbour of x opposite y
+                v, w = cyc[-1], cyc[-2]
+                cx = min(self.lists[x])
+                c1, c2 = sorted(self.lists[v] - {cx})[:2]
+                for h in self.adj[v] & scope:
+                    if h not in (x, w):
+                        self.lists[h] -= {c1, c2}
+                scope.remove(v)
+                work.append((v, w, c1, c2))
+            else:
+                self._color_edge(x, y)
 
-    def _find_chord(self, scope: set[int], cyc: list[int]) -> tuple[int, int] | None:
+    def _find_chord(self, cyc: list[int]) -> tuple[int, int] | None:
         p = len(cyc)
         for i in range(p - 1):
             ai = self.adj[cyc[i]]

@@ -138,6 +138,17 @@ def test_malformed_json_is_exit_3(capsys, tmp_path):
     assert "junk.json" in err
 
 
+def test_wrongly_typed_fields_are_exit_3(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "k34_two_crossings.json").read_text())
+    for bad in ({"edges": 5}, {"crossings": 5}, {"triangle": [0, 1, "a"]}):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({**doc, **bad}))
+        rc, out, err = run(capsys, "solve", str(path))
+        assert rc == 3
+        assert next(iter(bad)) in json.loads(out)["error"]
+        assert "typed.json" in err and "Traceback" not in err
+
+
 def test_out_of_shape_file_is_exit_3(capsys, tmp_path):
     # structurally fine, but 4-lists belong to neither solver shape
     thin = tmp_path / "thin.json"

@@ -27,6 +27,7 @@ from crosscolor.instance import make_instance
 from crosscolor.oracle import validate_coloring
 
 from conftest import icosa_instance
+from test_drawing import run_under_python_O
 
 FIVE = [0, 1, 2, 3, 4]
 
@@ -363,6 +364,40 @@ def test_slack_escape_spends_a_wide_blocker():
     out = _escape_recolor_k2(inst, st, slack_only=True)
     assert isinstance(out, dict)
     assert validate_coloring(inst.graph, inst.lists, out) == []
+
+
+PATH_CHECKS_UNDER_O = """
+from crosscolor import endgame
+from crosscolor.instance import make_instance
+
+five = [1, 2, 3, 4, 5]
+edges = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5), (3, 5),
+         (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)]
+inst = make_instance(
+    8, edges, {0: [9], 1: [10], 2: [11], **{v: five for v in range(3, 8)}},
+    crossings=[((4, 6), (5, 7))], triangle=(0, 1, 2),
+)
+plain = endgame._residuals
+for path, residuals in (
+    ([3, 4, 5], plain),
+    # the recount after the first paint disagrees with the running lists
+    ([0, 3, 4, 5], lambda inst, psi: {} if len(psi) > 3 else plain(inst, psi)),
+):
+    endgame._residuals = residuals
+    try:
+        endgame.color_along_path(inst, path)
+    except AssertionError as e:
+        print(e)
+    else:
+        print("unchecked", path)
+"""
+
+
+def test_path_checks_survive_python_O():
+    assert run_under_python_O(PATH_CHECKS_UNDER_O) == [
+        "path [3, 4, 5] is too short or starts off the triangle",
+        "incremental residuals drifted",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_crossed_triangle_edge_is_accepted():
         (lambda d: d["lists"].pop("0"), "exactly 0"),
         (lambda d: d.update(crossings=[{"a": [0, 1]}]), "bad crossing"),
         (lambda d: d.update(triangle=[0, 1]), "bad triangle"),
+        (lambda d: d.update(edges=5), "edges must be a list"),
+        (lambda d: d.update(crossings=5), "crossings must be a list"),
+        (lambda d: d.update(triangle=[0, 1, "a"]), "bad triangle .*'a'"),
     ],
 )
 def test_parse_diagnostics(mangle, msg):

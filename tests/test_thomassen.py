@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,10 +210,25 @@ def test_chord_split_matches_the_face_sides_on_a_grid():
 
 
 def test_large_grid_peels_without_recursion_error():
-    """Peels loop in one frame, so a 35x35 grid stays inside Python's stack."""
-    task = grid_task(35)
+    """Peels and chord splits share one work stack: no frame per split."""
+    task = grid_task(50)
     phi = thomassen_color(task)
     assert validate_coloring(task.graph, task.lists, phi) == []
+
+
+def test_block_tree_walk_is_fast_on_a_path_and_a_star():
+    """Each block finds its neighbour blocks through a vertex index."""
+    path = [(i, i + 1) for i in range(999)]
+    star = [(0, i) for i in range(1, 1000)]
+    for edges in (path, star):
+        g = Graph.from_edges(1000, edges)
+        lists = [frozenset(range(5))] * 1000
+        lists[0], lists[1] = frozenset({0}), frozenset({1})
+        task = BoundaryTask(g, tuple(tuple(a) for a in g.adj), tuple(lists), 0, 1)
+        start = time.perf_counter()
+        phi = thomassen_color(task)
+        assert time.perf_counter() - start < 2.0
+        assert validate_coloring(task.graph, task.lists, phi) == []
 
 
 BOWTIE_UNDER_O = """
