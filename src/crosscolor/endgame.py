@@ -50,12 +50,9 @@ def _finish(inst: Instance, psi: Mapping[int, int], used: int) -> Coloring | Non
     every choice respects their pinned colours) but are handed back to the
     extension as its soft pair, which re-derives the same two singletons.
     """
-    pg = inst.plane
-    if pg is None:
-        return None
     pair = _soft_pair(inst, used)
     seed = {v: c for v, c in psi.items() if v not in pair}
-    return observation_extend(pg, inst.lists, seed, pair=pair)
+    return observation_extend(inst.plane, inst.lists, seed, pair=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +98,7 @@ def handle_T_near_X(inst: Instance) -> Coloring | None:
                 if not free:
                     continue
                 psi[v] = free[0]
-                pg = inst.plane
-                phi = (
-                    observation_extend(pg, inst.lists, psi)
-                    if pg is not None
-                    else None
-                )
+                phi = observation_extend(inst.plane, inst.lists, psi)
                 if phi is not None:
                     return phi
 
@@ -539,6 +531,8 @@ def endgame_color(inst: Instance, counters: dict[str, int]) -> Coloring | None:
     triangle-to-crossing walk), ``path_punt`` (the walk's colouring punted)
     or ``escapes`` (a blocked last step that no escape resolved).
     """
+    if inst.plane is None:
+        raise AssertionError("the endgame needs a drawable instance")
     phi = handle_T_near_X(inst)
     if phi is not None:
         _hit(counters, "near_x")

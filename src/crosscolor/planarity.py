@@ -319,12 +319,16 @@ def _lr_sides(dfs: _Dfs) -> list[int] | None:
                 ref[p[2]] = p[0]
                 side[p[2]] = -1
                 p[2] = -1
-        if lowpt[e] < hu:  # e takes the side of its highest return edge
+        if lowpt[e] < hu:  # e takes the side of a return edge of the top pair
+            # Brandes takes the higher high when both sides are non-empty,
+            # but then the pick cannot matter.  add_constraints rejects a
+            # two-sided pair unless e is u's first out-edge; and every edge
+            # of such a pair returns above lowpt(e), so a later out-edge
+            # with e's nesting conflicts with both sides.  That leaves e
+            # the only out-edge of least nesting, which sits between u's
+            # left and right out-edges whatever its sign.
             _, hl, _, hr = S[-1]
-            if hl != -1 and (hr == -1 or lowpt[hl] > lowpt[hr]):
-                ref[e] = hl
-            else:
-                ref[e] = hr
+            ref[e] = hl if hr == -1 else hr
 
     def integrate(ei: int, v: int) -> bool:
         # fold the return edges of out-edge ei into v's parent edge

@@ -3,19 +3,27 @@
 Every way the solver can shrink an instance is packaged as a
 :class:`ReductionStep`: a rule id, the parameters it fires on, and a runner
 that receives ``solve_child`` (the solver's recursive entry point) and
-produces a colouring of the *parent*.  Runners raise
+produces a colouring of the *parent*.  Each runner is a module-level
+function ``_rX_run(inst, ..., solve_child)`` that the scan binds to its
+candidate with :func:`functools.partial`.  Runners raise
 :class:`RuleInapplicable` freely when a geometric precondition they could
 not cheaply check up front turns out to fail -- the dispatcher just moves
 on to the next candidate, and ultimately to the exhaustive fallback.
 
-Children must be strictly smaller in the well-order (crossing count, vertex
-count, -edge count); runners pre-check this and punt rather than fire a
-non-decreasing step.
+The scan only runs on drawable instances, so runners read ``inst.plane``
+without checking it.  Children must be strictly smaller in the well-order
+(crossing count, vertex count, -edge count).  Every runner builds them so
+by construction -- each drops a non-empty vertex set or a crossing -- and
+the driver's ``solve_child`` asserts it.  The one exception is
+:func:`_apex_side`, whose fresh vertices can make a side as large as its
+parent; it punts on such a side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .drawing import CrossingPair, cycle_sides
@@ -37,13 +45,6 @@ class ReductionStep:
 
 def measure(inst: Instance) -> tuple[int, int, int]:
     return (len(inst.crossings), inst.n, -inst.graph.m)
-
-
-def _require_smaller(parent: Instance, child: Instance) -> None:
-    if not measure(child) < measure(parent):
-        raise RuleInapplicable(
-            f"child measure {measure(child)} does not drop below {measure(parent)}"
-        )
 
 
 def _fresh_colors(inst: Instance, k: int) -> list[int]:
@@ -83,14 +84,18 @@ def _plus_edges(inst: Instance, extra: Iterable[tuple[int, int]]) -> Instance:
 
 def iter_reduction_steps(inst: Instance) -> Iterator[ReductionStep]:
     """All rule candidates, in the fixed (rule, parameter) scan order."""
-    yield from _r1_low_degree(inst)
-    yield from _r2_cut_or_split(inst)
-    yield from _r3_crossed_triangle_edge(inst)
-    yield from _r4_separating_triangle(inst)
-    yield from _r5_two_cut(inst)
-    yield from _r6_separating_square(inst)
-    yield from _r7_doubly_crossed(inst)
-    yield from _r8_crossing_gadget(inst)
+    if inst.plane is None:
+        raise AssertionError("the reduction scan needs a drawable instance")
+    return chain(
+        _r1_low_degree(inst),
+        _r2_cut_or_split(inst),
+        _r3_crossed_triangle_edge(inst),
+        _r4_separating_triangle(inst),
+        _r5_two_cut(inst),
+        _r6_separating_square(inst),
+        _r7_doubly_crossed(inst),
+        _r8_crossing_gadget(inst),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +109,16 @@ def _r1_low_degree(inst: Instance) -> Iterator[ReductionStep]:
         if v in pinned:
             continue
         if inst.graph.degree(v) <= 4 and len(inst.lists[v]) > inst.graph.degree(v):
-            yield ReductionStep("R1", (v,), _r1_runner(inst, v))
+            yield ReductionStep("R1", (v,), partial(_r1_run, inst, v))
 
 
-def _r1_runner(inst: Instance, v: int):
-    def run(solve_child: SolveChild) -> Coloring:
-        keep = [u for u in range(inst.n) if u != v]
-        child, order = induced_instance(inst, keep, triangle=inst.triangle)
-        _require_smaller(inst, child)
-        sub = solve_child(child)
-        phi = {order[i]: c for i, c in sub.items()}
-        phi[v] = min(inst.lists[v] - {phi[u] for u in inst.graph.adj[v]})
-        return phi
-
-    return run
+def _r1_run(inst: Instance, v: int, solve_child: SolveChild) -> Coloring:
+    keep = [u for u in range(inst.n) if u != v]
+    child, order = induced_instance(inst, keep, triangle=inst.triangle)
+    sub = solve_child(child)
+    phi = {order[i]: c for i, c in sub.items()}
+    phi[v] = min(inst.lists[v] - {phi[u] for u in inst.graph.adj[v]})
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -166,59 +167,50 @@ def _main_side(inst: Instance, comps: list[list[int]]) -> tuple[dict[int, int], 
 def _r2_cut_or_split(inst: Instance) -> Iterator[ReductionStep]:
     comps = components(inst.graph)
     if len(comps) >= 2:
-        yield ReductionStep("R2", ("split",), _r2_split_runner(inst, comps))
+        yield ReductionStep("R2", ("split",), partial(_r2_split_run, inst, comps))
         return
     for a in sorted(articulation(inst.graph, blocks=False).cuts):
-        yield ReductionStep("R2", ("cut", a), _r2_cut_runner(inst, a))
+        yield ReductionStep("R2", ("cut", a), partial(_r2_cut_run, inst, a))
 
 
-def _r2_split_runner(inst: Instance, comps: list[list[int]]):
-    def run(solve_child: SolveChild) -> Coloring:
-        tri = set(inst.triangle or ())
-        phi: Coloring = {}
-        for comp in comps:
-            t = inst.triangle if tri and tri <= set(comp) else None
-            child, order = induced_instance(inst, comp, triangle=t)
-            _require_smaller(inst, child)
-            sub = solve_child(child)
-            phi.update({order[i]: c for i, c in sub.items()})
-        return phi
-
-    return run
-
-
-def _r2_cut_runner(inst: Instance, a: int):
-    def run(solve_child: SolveChild) -> Coloring:
-        comps = components_without(inst.graph, {a})
-        where, main = _main_side(inst, comps)
-        child, order = induced_instance(
-            inst, sorted(set(comps[main]) | {a}), triangle=inst.triangle
-        )
-        _require_smaller(inst, child)
+def _r2_split_run(
+    inst: Instance, comps: list[list[int]], solve_child: SolveChild
+) -> Coloring:
+    tri = set(inst.triangle or ())
+    phi: Coloring = {}
+    for comp in comps:
+        t = inst.triangle if tri and tri <= set(comp) else None
+        child, order = induced_instance(inst, comp, triangle=t)
         sub = solve_child(child)
-        phi = {order[i]: c for i, c in sub.items()}
+        phi.update({order[i]: c for i, c in sub.items()})
+    return phi
 
-        free: list[int] = []
-        for i in range(len(comps)):
-            if i == main:
-                continue
-            if any(c == i for c in where.values()):
-                phi.update(_apex_side(inst, solve_child, comps[i], (a,), phi))
-            else:
-                free.append(i)
-        if free:
-            rest = set().union(*(set(comps[i]) for i in free))
-            psi = {v: c for v, c in phi.items() if v not in rest}
-            pg = inst.plane
-            if pg is None:
-                raise RuleInapplicable("undrawable parent")
-            full = observation_extend(pg, inst.lists, psi)
-            if full is None:
-                raise RuleInapplicable("free sides rejected the extension")
-            phi = full
-        return phi
 
-    return run
+def _r2_cut_run(inst: Instance, a: int, solve_child: SolveChild) -> Coloring:
+    comps = components_without(inst.graph, {a})
+    where, main = _main_side(inst, comps)
+    child, order = induced_instance(
+        inst, sorted(set(comps[main]) | {a}), triangle=inst.triangle
+    )
+    sub = solve_child(child)
+    phi = {order[i]: c for i, c in sub.items()}
+
+    free: list[int] = []
+    for i in range(len(comps)):
+        if i == main:
+            continue
+        if any(c == i for c in where.values()):
+            phi.update(_apex_side(inst, solve_child, comps[i], (a,), phi))
+        else:
+            free.append(i)
+    if free:
+        rest = set().union(*(set(comps[i]) for i in free))
+        psi = {v: c for v, c in phi.items() if v not in rest}
+        full = observation_extend(inst.plane, inst.lists, psi)
+        if full is None:
+            raise RuleInapplicable("free sides rejected the extension")
+        phi = full
+    return phi
 
 
 def components_without(g: Graph, removed: set[int]) -> list[list[int]]:
@@ -271,7 +263,11 @@ def _apex_side(
     )
     if len(child.crossings) > 1 or child.plane is None:
         raise RuleInapplicable("apexed side is not a drawable one-crossing child")
-    _require_smaller(inst, child)
+    if not measure(child) < measure(inst):
+        # the fresh vertices can outweigh a small remainder of the parent
+        raise RuleInapplicable(
+            f"child measure {measure(child)} does not drop below {measure(inst)}"
+        )
     sub = solve_child(child)
     out = {order[i]: c for i, c in sub.items() if i < side.n}
     if any(out[c] != phi[c] for c in cut):
@@ -295,36 +291,32 @@ def _r3_crossed_triangle_edge(inst: Instance) -> Iterator[ReductionStep]:
     }
     (cr,) = inst.crossings
     for e in sorted(tedges & set(cr.edges)):
-        yield ReductionStep("R3", (e,), _r3_runner(inst, cr, e))
+        yield ReductionStep("R3", (e,), partial(_r3_run, inst, cr, e))
 
 
-def _r3_runner(inst: Instance, cr: CrossingPair, e: tuple[int, int]):
-    def run(solve_child: SolveChild) -> Coloring:
-        pg = inst.plane
-        if pg is None:
-            raise RuleInapplicable("undrawable parent")
-        f = cr.b if e == cr.a else cr.a
-        u, v = e
-        (w,) = set(inst.triangle) - set(e)
-        d = pg.dummy(0)
-        cs = cycle_sides(pg.planar, pg.rotation, [u, d, v, w])
-        outside = [p for p in f if p != w]
-        x = min(outside)
-        far = cs.side_b if cs.vertex_side(x) == 0 else cs.side_a
-        keep = sorted({p for p in far if p < pg.n_real} | {u, v, w})
-        child, order = induced_instance(inst, keep, triangle=inst.triangle)
-        if child.crossings:
-            raise RuleInapplicable("triangle side kept a crossing")
-        _require_smaller(inst, child)
-        sub = solve_child(child)
-        phi = {order[i]: c for i, c in sub.items()}
-        psi = {p: c for p, c in phi.items() if p not in (v, w)}
-        full = observation_extend(pg, inst.lists, psi, pair=(v, w))
-        if full is None:
-            raise RuleInapplicable("extension across the crossed edge failed")
-        return full
-
-    return run
+def _r3_run(
+    inst: Instance, cr: CrossingPair, e: tuple[int, int], solve_child: SolveChild
+) -> Coloring:
+    pg = inst.plane
+    f = cr.b if e == cr.a else cr.a
+    u, v = e
+    (w,) = set(inst.triangle) - set(e)
+    d = pg.dummy(0)
+    cs = cycle_sides(pg.planar, pg.rotation, [u, d, v, w])
+    outside = [p for p in f if p != w]
+    x = min(outside)
+    far = cs.side_b if cs.vertex_side(x) == 0 else cs.side_a
+    keep = sorted({p for p in far if p < pg.n_real} | {u, v, w})
+    child, order = induced_instance(inst, keep, triangle=inst.triangle)
+    if child.crossings:
+        raise RuleInapplicable("triangle side kept a crossing")
+    sub = solve_child(child)
+    phi = {order[i]: c for i, c in sub.items()}
+    psi = {p: c for p, c in phi.items() if p not in (v, w)}
+    full = observation_extend(pg, inst.lists, psi, pair=(v, w))
+    if full is None:
+        raise RuleInapplicable("extension across the crossed edge failed")
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +341,7 @@ def _uncrossed_triangles(inst: Instance) -> Iterator[tuple[int, int, int]]:
 
 def _r4_separating_triangle(inst: Instance) -> Iterator[ReductionStep]:
     for tri in _uncrossed_triangles(inst):
-        yield ReductionStep("R4", tri, _ring_runner(inst, tri))
+        yield ReductionStep("R4", tri, partial(_ring_run, inst, tri))
 
 
 def _r6_separating_square(inst: Instance) -> Iterator[ReductionStep]:
@@ -374,80 +366,74 @@ def _r6_separating_square(inst: Instance) -> Iterator[ReductionStep]:
                         norm_edge(ring[i - 1], ring[i]) in hot for i in range(4)
                     ):
                         continue
-                    yield ReductionStep("R6", ring, _ring_runner(inst, ring))
+                    yield ReductionStep("R6", ring, partial(_ring_run, inst, ring))
 
 
-def _ring_runner(inst: Instance, ring: tuple[int, ...]):
+def _ring_run(
+    inst: Instance, ring: tuple[int, ...], solve_child: SolveChild
+) -> Coloring:
     """Shared R4/R6 plan: solve the busy side, hand the quiet side the ring.
 
     For a triangle ring the quiet side becomes a pinned-triangle child; for
     a square ring the quiet side is finished by an extension that releases
     one ring edge as the soft pair.
     """
+    pg = inst.plane
+    if _bounds_face(pg.rotation, ring):
+        raise RuleInapplicable("ring does not separate real vertices")
+    cs = cycle_sides(pg.planar, pg.rotation, list(ring))
+    real_a = {v for v in cs.side_a if v < pg.n_real}
+    real_b = {v for v in cs.side_b if v < pg.n_real}
+    if not real_a or not real_b:
+        raise RuleInapplicable("ring does not separate real vertices")
+    owners = set()
+    for i in range(len(inst.crossings)):
+        owners.add(cs.vertex_side(pg.dummy(i)))
+    if inst.triangle is not None:
+        strict = set(inst.triangle) - set(ring)
+        if not strict and len(ring) == 4:
+            raise RuleInapplicable("pinned triangle shares 3 vertices with a square?")
+        for v in strict:
+            owners.add(cs.vertex_side(v))
+    if None in owners:
+        raise RuleInapplicable("a crossing sits on the ring itself")
+    if len(owners) > 1:
+        raise RuleInapplicable("action on both sides of the ring")
+    busy = owners.pop() if owners else 0
+    near = real_a if busy == 0 else real_b
+    farr = real_b if busy == 0 else real_a
+    child1, order1 = induced_instance(
+        inst, sorted(near | set(ring)), triangle=inst.triangle
+    )
+    sub1 = solve_child(child1)
+    phi = {order1[i]: c for i, c in sub1.items()}
 
-    def run(solve_child: SolveChild) -> Coloring:
-        pg = inst.plane
-        if pg is None:
-            raise RuleInapplicable("undrawable parent")
-        if _bounds_face(pg.rotation, ring):
-            raise RuleInapplicable("ring does not separate real vertices")
-        cs = cycle_sides(pg.planar, pg.rotation, list(ring))
-        real_a = {v for v in cs.side_a if v < pg.n_real}
-        real_b = {v for v in cs.side_b if v < pg.n_real}
-        if not real_a or not real_b:
-            raise RuleInapplicable("ring does not separate real vertices")
-        owners = set()
-        for i in range(len(inst.crossings)):
-            owners.add(cs.vertex_side(pg.dummy(i)))
-        if inst.triangle is not None:
-            strict = set(inst.triangle) - set(ring)
-            if not strict and len(ring) == 4:
-                raise RuleInapplicable("pinned triangle shares 3 vertices with a square?")
-            for v in strict:
-                owners.add(cs.vertex_side(v))
-        if None in owners:
-            raise RuleInapplicable("a crossing sits on the ring itself")
-        if len(owners) > 1:
-            raise RuleInapplicable("action on both sides of the ring")
-        busy = owners.pop() if owners else 0
-        near = real_a if busy == 0 else real_b
-        farr = real_b if busy == 0 else real_a
-        child1, order1 = induced_instance(
-            inst, sorted(near | set(ring)), triangle=inst.triangle
+    if len(ring) == 3:
+        a, b, c = ring
+        child2, order2 = induced_instance(
+            inst,
+            sorted(farr | set(ring)),
+            lists={a: {phi[a]}, b: {phi[b]}, c: {phi[c]}},
+            triangle=ring,
         )
-        _require_smaller(inst, child1)
-        sub1 = solve_child(child1)
-        phi = {order1[i]: c for i, c in sub1.items()}
+        if child2.crossings:
+            raise RuleInapplicable("quiet side kept a crossing")
+        sub2 = solve_child(child2)
+        for i, col in sub2.items():
+            v = order2[i]
+            if v in phi and phi[v] != col:
+                raise InvalidColoringError(f"quiet side recoloured ring vertex {v}")
+            phi[v] = col
+        return phi
 
-        if len(ring) == 3:
-            a, b, c = ring
-            child2, order2 = induced_instance(
-                inst,
-                sorted(farr | set(ring)),
-                lists={a: {phi[a]}, b: {phi[b]}, c: {phi[c]}},
-                triangle=ring,
-            )
-            if child2.crossings:
-                raise RuleInapplicable("quiet side kept a crossing")
-            _require_smaller(inst, child2)
-            sub2 = solve_child(child2)
-            for i, col in sub2.items():
-                v = order2[i]
-                if v in phi and phi[v] != col:
-                    raise InvalidColoringError(f"quiet side recoloured ring vertex {v}")
-                phi[v] = col
-            return phi
-
-        # square ring: extend across it, trying each edge as the soft pair
-        for k in range(4):
-            pair = (ring[k], ring[(k + 1) % 4])
-            psi = {v: c for v, c in phi.items() if v not in pair}
-            full = observation_extend(pg, inst.lists, psi, pair=pair)
-            if full is not None:
-                return full
-        raise RuleInapplicable("no ring edge admits the extension")
-
-    return run
+    # square ring: extend across it, trying each edge as the soft pair
+    for k in range(4):
+        pair = (ring[k], ring[(k + 1) % 4])
+        psi = {v: c for v, c in phi.items() if v not in pair}
+        full = observation_extend(pg, inst.lists, psi, pair=pair)
+        if full is not None:
+            return full
+    raise RuleInapplicable("no ring edge admits the extension")
 
 
 def _bounds_face(rotation: Rotation, ring: Sequence[int]) -> bool:
@@ -477,7 +463,7 @@ def _bounds_face(rotation: Rotation, ring: Sequence[int]) -> bool:
 
 def _r5_two_cut(inst: Instance) -> Iterator[ReductionStep]:
     for u, v, comps in _two_cuts(inst.graph):
-        yield ReductionStep("R5", (u, v), _r5_runner(inst, u, v, comps))
+        yield ReductionStep("R5", (u, v), partial(_r5_run, inst, u, v, comps))
 
 
 def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
@@ -502,46 +488,40 @@ def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
             yield u, v, components_without(g, {u, v})
 
 
-def _r5_runner(inst: Instance, u: int, v: int, comps: list[list[int]]):
-    def run(solve_child: SolveChild) -> Coloring:
-        pg = inst.plane
-        if pg is None:
-            raise RuleInapplicable("undrawable parent")
-        where, main = _main_side(inst, comps)
-        others = [i for i in range(len(comps)) if i != main]
-        clean = (
-            inst.graph.has_edge(u, v)
-            and norm_edge(u, v) not in _crossed_edges(inst)
-            and all(not any(c == i for c in where.values()) for i in others)
-        )
-        if clean:
-            child, order = induced_instance(
-                inst, sorted(set(comps[main]) | {u, v}), triangle=inst.triangle
-            )
-            _require_smaller(inst, child)
-            sub = solve_child(child)
-            phi = {order[i]: c for i, c in sub.items()}
-            psi = {p: c for p, c in phi.items() if p not in (u, v)}
-            full = observation_extend(pg, inst.lists, psi, pair=(u, v))
-            if full is None:
-                raise RuleInapplicable("cut pair rejected the extension")
-            return full
-
-        # apex route: force the cut pair apart with a fresh pinned triangle
-        side, order1 = induced_instance(
+def _r5_run(
+    inst: Instance, u: int, v: int, comps: list[list[int]], solve_child: SolveChild
+) -> Coloring:
+    where, main = _main_side(inst, comps)
+    others = [i for i in range(len(comps)) if i != main]
+    clean = (
+        inst.graph.has_edge(u, v)
+        and norm_edge(u, v) not in _crossed_edges(inst)
+        and all(not any(c == i for c in where.values()) for i in others)
+    )
+    if clean:
+        child, order = induced_instance(
             inst, sorted(set(comps[main]) | {u, v}), triangle=inst.triangle
         )
-        child1 = _plus_edges(side, [(order1.index(u), order1.index(v))])
-        _require_smaller(inst, child1)
-        if child1.plane is None:
-            raise RuleInapplicable("busy side will not draw with uv added")
-        sub1 = solve_child(child1)
-        phi = {order1[i]: c for i, c in sub1.items()}
-        for i in others:
-            phi.update(_apex_side(inst, solve_child, comps[i], (u, v), phi))
-        return phi
+        sub = solve_child(child)
+        phi = {order[i]: c for i, c in sub.items()}
+        psi = {p: c for p, c in phi.items() if p not in (u, v)}
+        full = observation_extend(inst.plane, inst.lists, psi, pair=(u, v))
+        if full is None:
+            raise RuleInapplicable("cut pair rejected the extension")
+        return full
 
-    return run
+    # apex route: force the cut pair apart with a fresh pinned triangle
+    side, order1 = induced_instance(
+        inst, sorted(set(comps[main]) | {u, v}), triangle=inst.triangle
+    )
+    child1 = _plus_edges(side, [(order1.index(u), order1.index(v))])
+    if child1.plane is None:
+        raise RuleInapplicable("busy side will not draw with uv added")
+    sub1 = solve_child(child1)
+    phi = {order1[i]: c for i, c in sub1.items()}
+    for i in others:
+        phi.update(_apex_side(inst, solve_child, comps[i], (u, v), phi))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -555,30 +535,25 @@ def _r7_doubly_crossed(inst: Instance) -> Iterator[ReductionStep]:
     c1, c2 = inst.crossings
     shared = sorted(set(c1.edges) & set(c2.edges))
     for e in shared:
-        yield ReductionStep("R7", (e,), _r7_runner(inst, e))
+        yield ReductionStep("R7", (e,), partial(_r7_run, inst, e))
 
 
-def _r7_runner(inst: Instance, e: tuple[int, int]):
-    def run(solve_child: SolveChild) -> Coloring:
-        pg = inst.plane
-        if pg is None:
-            raise RuleInapplicable("undrawable parent")
-        c1, c2 = inst.crossings
-        f1 = c1.b if c1.a == e else c1.a
-        f2 = c2.b if c2.a == e else c2.a
-        u, v = e
-        joint = set(f1) & set(f2)
-        if joint:
-            (w,) = joint
-            for s in (u, v):
-                psi = _greedy_psi(inst.graph, inst.lists, [s, w])
-                full = observation_extend(pg, inst.lists, psi)
-                if full is not None:
-                    return full
-            raise RuleInapplicable("no anchor pair unlocked the shared corner")
-        return _r7_disjoint(inst, pg, e, f1, f2)
-
-    return run
+def _r7_run(inst: Instance, e: tuple[int, int], solve_child: SolveChild) -> Coloring:
+    pg = inst.plane
+    c1, c2 = inst.crossings
+    f1 = c1.b if c1.a == e else c1.a
+    f2 = c2.b if c2.a == e else c2.a
+    u, v = e
+    joint = set(f1) & set(f2)
+    if joint:
+        (w,) = joint
+        for s in (u, v):
+            psi = _greedy_psi(inst.graph, inst.lists, [s, w])
+            full = observation_extend(pg, inst.lists, psi)
+            if full is not None:
+                return full
+        raise RuleInapplicable("no anchor pair unlocked the shared corner")
+    return _r7_disjoint(inst, pg, e, f1, f2)
 
 
 def _r7_disjoint(inst, pg, e, f1, f2) -> Coloring:
@@ -645,9 +620,7 @@ def _r8_crossing_gadget(inst: Instance) -> Iterator[ReductionStep]:
     order = sorted(range(len(inst.crossings)), key=lambda i: inst.crossings[i].edges)
     for i in order:
         cr = inst.crossings[i]
-        yield ReductionStep(
-            "R8", (cr.a, cr.b), _r8_runner(inst, i)
-        )
+        yield ReductionStep("R8", (cr.a, cr.b), partial(_r8_run, inst, i))
 
 
 def crossing_gadget(
@@ -691,28 +664,24 @@ def crossing_gadget(
     return child, vtx
 
 
-def _r8_runner(inst: Instance, index: int):
-    def run(solve_child: SolveChild) -> Coloring:
-        cr = inst.crossings[index]
-        others = [c for j, c in enumerate(inst.crossings) if j != index]
-        if any(e in c.edges for c in others for e in cr.edges):
-            # the gadget deletes both edges, but the other crossing names one
-            raise RuleInapplicable("an edge of the crossing is crossed twice (R7)")
-        for x, xp in (cr.a, cr.a[::-1]):
-            for y, yp in (cr.b, cr.b[::-1]):
-                made = crossing_gadget(inst, index, x, xp, y, yp)
-                if made is None:
-                    continue
-                child, vtx = made
-                _require_smaller(inst, child)
-                sub = solve_child(child)
-                fresh = next(iter(child.lists[vtx]))
-                if fresh in (sub[xp], sub[yp]):
-                    raise InvalidColoringError("gadget child gave the apex colour away")
-                return {w: col for w, col in sub.items() if w != vtx}
-        raise RuleInapplicable("no orientation of the gadget is drawable")
-
-    return run
+def _r8_run(inst: Instance, index: int, solve_child: SolveChild) -> Coloring:
+    cr = inst.crossings[index]
+    others = [c for j, c in enumerate(inst.crossings) if j != index]
+    if any(e in c.edges for c in others for e in cr.edges):
+        # the gadget deletes both edges, but the other crossing names one
+        raise RuleInapplicable("an edge of the crossing is crossed twice (R7)")
+    for x, xp in (cr.a, cr.a[::-1]):
+        for y, yp in (cr.b, cr.b[::-1]):
+            made = crossing_gadget(inst, index, x, xp, y, yp)
+            if made is None:
+                continue
+            child, vtx = made
+            sub = solve_child(child)
+            fresh = next(iter(child.lists[vtx]))
+            if fresh in (sub[xp], sub[yp]):
+                raise InvalidColoringError("gadget child gave the apex colour away")
+            return {w: col for w, col in sub.items() if w != vtx}
+    raise RuleInapplicable("no orientation of the gadget is drawable")
 
 
 # ---------------------------------------------------------------------------

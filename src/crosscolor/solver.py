@@ -76,7 +76,10 @@ def solve(
     stats = SolveStats()
     t0 = time.perf_counter()
     try:
-        phi = _solve(inst, stats, use_fallback, budget, 0)
+        if instance_mode(inst) is None:
+            phi = _fallback(inst, stats, use_fallback, budget)
+        else:
+            phi = _solve(inst, stats, use_fallback, budget, 0)
     finally:
         stats.wall_time_ms = (time.perf_counter() - t0) * 1000.0
     if phi is not None:
@@ -93,12 +96,14 @@ def _solve(
     budget: int,
     depth: int,
 ) -> Coloring | None:
+    """Colour a shape-conforming instance.
+
+    ``solve`` checks the root's shape and ``solve_child`` each child's, so
+    the check runs once per instance.
+    """
     stats.max_depth = max(stats.max_depth, depth)
     if inst.n == 0:
         return {}
-    if instance_mode(inst) is None:
-        return _fallback(inst, stats, use_fallback, budget)
-
     if not inst.crossings:
         phi = _planar_base(inst)
         if phi is not None:

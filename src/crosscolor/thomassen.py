@@ -362,17 +362,6 @@ def residual_lists(
     return out
 
 
-def check_observation_preconditions(
-    pg: PlaneGraph,
-    lists: Sequence[frozenset],
-    psi: Mapping[int, int],
-    pair: tuple[int, int] | None = None,
-) -> list[tuple[str, int | None]]:
-    """Structured reasons the subtract-and-extend step cannot run (empty = go)."""
-    bad, _ = _plan_extension(pg, lists, psi, pair)
-    return bad
-
-
 def observation_extend(
     pg: PlaneGraph,
     lists: Sequence[frozenset],

@@ -141,6 +141,25 @@ def test_r2_cut_apexes_the_far_crossing_and_extends_the_twig():
     assert 9 in phi
 
 
+def test_r2_cut_punts_when_the_apexed_side_does_not_shrink():
+    # the crossed K5 hangs on the pinned triangle's corner 0; its apexed side
+    # (K5 plus two fresh vertices) is exactly as large as the whole parent
+    k5 = [0, 3, 4, 5, 6]
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(a, b) for i, a in enumerate(k5) for b in k5[i + 1 :]]
+    lists = {v: FIVE for v in range(7)}
+    lists.update({0: [10], 1: [11], 2: [12]})
+    inst = make_instance(
+        7, edges, lists, crossings=[((0, 4), (3, 5))], triangle=(0, 1, 2)
+    )
+    step = next(s for s in steps_for(inst, "R2") if s.params == ("cut", 0))
+    with pytest.raises(
+        RuleInapplicable,
+        match=r"child measure \(1, 7, -13\) does not drop below \(1, 7, -13\)",
+    ):
+        step.run(oracle_child)
+
+
 def test_r2_cut_punts_when_a_crossing_straddles_it():
     edges = [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]
     inst = make_instance(
@@ -477,15 +496,19 @@ def test_saturate_is_identity_when_complete(k5x):
     assert saturate_crossing_clique(k5x) is k5x
 
 
-def test_no_rule_applies_to_petersen():
+def test_no_rule_applies_to_the_dodecahedron():
     # 3-regular with tight lists, 3-connected, girth 5, no crossings:
-    # every generator comes up empty
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    inst = make_instance(
-        10, outer + inner + spokes, {v: [0, 1, 2] for v in range(10)}
-    )
+    # every generator comes up empty.  Outer 5-cycle a, middle 10-cycle b,
+    # inner 5-cycle c; a_i meets b_2i and c_i meets b_2i+1.
+    a, b, c = range(5), range(5, 15), range(15, 20)
+    edges = [(a[i], a[(i + 1) % 5]) for i in range(5)]
+    edges += [(b[j], b[(j + 1) % 10]) for j in range(10)]
+    edges += [(c[i], c[(i + 1) % 5]) for i in range(5)]
+    edges += [(a[i], b[2 * i]) for i in range(5)]
+    edges += [(c[i], b[2 * i + 1]) for i in range(5)]
+    inst = make_instance(20, edges, {v: [0, 1, 2] for v in range(20)})
+    assert inst.plane is not None
+    assert {inst.graph.degree(v) for v in range(20)} == {3}
     assert next(iter_reduction_steps(inst), None) is None
 
 

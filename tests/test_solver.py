@@ -263,3 +263,56 @@ else:
 def test_child_that_does_not_shrink_is_caught_under_python_O():
     (line,) = run_under_python_O(UNSHRUNK_CHILD_UNDER_O)
     assert line == "child (1, 5, -10) not below parent (1, 5, -10)"
+
+
+OUT_OF_SHAPE_CHILD_UNDER_O = """
+import crosscolor.solver as solver
+from crosscolor.instance import make_instance
+from crosscolor.reductions import ReductionStep
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+K5X = make_instance(5, K5, [range(5)] * 5, crossings=[((0, 3), (1, 4))])
+K4_SHORT = make_instance(4, [e for e in K5 if 4 not in e], [range(4)] * 4)
+cramped = ReductionStep("R1", (4,), lambda solve_child: solve_child(K4_SHORT))
+solver.iter_reduction_steps = lambda inst: iter([cramped])
+try:
+    solver.solve(K5X)
+except AssertionError as e:
+    print(e)
+else:
+    raise SystemExit("a child with 4-lists went unnoticed")
+"""
+
+
+def test_out_of_shape_child_is_caught_under_python_O():
+    (line,) = run_under_python_O(OUT_OF_SHAPE_CHILD_UNDER_O)
+    assert line.startswith("reduction built an out-of-shape child")
+    assert "vertex 0 has only 4 colours" in line
+
+
+UNDRAWABLE_UNDER_O = """
+from crosscolor.endgame import endgame_color
+from crosscolor.instance import make_instance
+from crosscolor.reductions import iter_reduction_steps
+
+K5 = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+plain = make_instance(5, K5, [range(5)] * 5)
+pinned = make_instance(5, K5, [[5], [6], [7], range(5), range(5)], triangle=(0, 1, 2))
+for run in (lambda: iter_reduction_steps(plain), lambda: endgame_color(pinned, {})):
+    try:
+        run()
+    except AssertionError as e:
+        print(e)
+    else:
+        raise SystemExit("an undrawable instance went unnoticed")
+"""
+
+
+def test_undrawable_instances_are_refused_under_python_O():
+    # K5 without a crossing has no drawing; the solver never scans or
+    # finishes one, and the two entry points say so outright
+    lines = run_under_python_O(UNDRAWABLE_UNDER_O)
+    assert lines == [
+        "the reduction scan needs a drawable instance",
+        "the endgame needs a drawable instance",
+    ]

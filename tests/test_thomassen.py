@@ -16,7 +16,6 @@ from crosscolor.graphs import Graph
 from crosscolor.oracle import exact_list_color, validate_coloring
 from crosscolor.thomassen import (
     BoundaryTask,
-    check_observation_preconditions,
     observation_extend,
     residual_lists,
     thomassen_color,
@@ -25,6 +24,12 @@ from crosscolor.thomassen import (
 )
 from planarity_oracle import compute_embedding
 from test_drawing import run_under_python_O
+
+
+def check_observation_preconditions(pg, lists, psi, pair=None):
+    """Structured reasons the subtract-and-extend step cannot run (empty = go)."""
+    bad, _ = thomassen_mod._plan_extension(pg, lists, psi, pair)
+    return bad
 
 
 def simple_task(n, edges, lists, x, y):
