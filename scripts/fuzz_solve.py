@@ -7,6 +7,12 @@ fallback), the rules fired and the endgame events.  Examples:
     PYTHONPATH=src python3 scripts/fuzz_solve.py --count 300 --crossings 2 --n-max 40
     PYTHONPATH=src python3 scripts/fuzz_solve.py --count 500 --crossings 1 --triangle
 
+The generated instances are stacked triangulations, which always keep a
+vertex of degree 3, so they reach no endgame: all 500 solves of the
+second example end by reduction, with R1 only, and ``--crossings 2``
+does the same.  For the endgame, use the
+``geodesic-5of5`` corpus of ``scripts/solve_digest.py``.
+
 Run from the root of a checkout, or drop ``PYTHONPATH=src`` after
 ``pip install -e .``.
 """

@@ -12,7 +12,13 @@ the colouring (as ``(vertex, colour)`` pairs in dict order) and
   n=30, seeds 0-39, with 0 crossings, 1 crossing plus a pinned triangle,
   and 2 crossings;
 * ``stacked-2x``, ``geodesic-2x``: 30 drawings each from the benchmark's
-  generators in ``bench/corpora.py`` (imported, not modified).
+  generators in ``bench/corpora.py`` (imported, not modified);
+* ``geodesic-5of5``: the 42-vertex geodesic drawing with 2 crossings,
+  seeds 0-149, with every list set to {0,...,4}.  These tight lists are
+  the only fixed corpus that drives the walk endgame through its blocked
+  step, its ``swapped`` and ``detour_far`` escapes and the exhaustive
+  fallback (seeds 40, 41, 104, 128, 140 and 149 fall back, each after
+  ``giveup.path_punt``).  It takes about 2 s.
 
 Run from anywhere; the package and the generators are imported from the
 checkout that holds this script:
@@ -38,6 +44,7 @@ from crosscolor.solver import solve  # noqa: E402
 
 GEN_SEEDS = range(40)
 BENCH_INPUTS = 30
+TIGHT_SEEDS = range(150)
 
 
 def fixtures():
@@ -55,6 +62,13 @@ def drawings(make):
     for i in range(BENCH_INPUTS):
         d = make(random.Random(i))
         yield make_instance(d.n, d.edges, d.lists, crossings=d.crossings)
+
+
+def tight_geodesic():
+    faces = corpora.geodesic_faces(1)
+    for seed in TIGHT_SEEDS:
+        d = corpora.geodesic_drawing(random.Random(seed), faces, 2)
+        yield make_instance(d.n, d.edges, [range(5)] * d.n, crossings=d.crossings)
 
 
 def digest(instances) -> tuple[int, str]:
@@ -79,6 +93,7 @@ def main() -> int:
         "gen-2x": generated(2, False),
         "stacked-2x": drawings(lambda rng: corpora.stacked_drawing(rng, 50, 2)),
         "geodesic-2x": drawings(lambda rng: corpora.geodesic_drawing(rng, geodesic, 2)),
+        "geodesic-5of5": tight_geodesic(),
     }
     for name, instances in corpus.items():
         count, hexdigest = digest(instances)

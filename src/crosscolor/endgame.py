@@ -8,8 +8,10 @@ the two unpinned triangle corners.
 
 A step can become *blocked* only at the last path vertex, and only when a
 single off-path vertex holds exactly the three colours the path end still
-has.  ``resolve_blocked_endgame`` then bends the tail of the path around
-that vertex in a few prescribed ways.
+has.  ``resolve_blocked_endgame`` then tries a fixed table of escapes:
+walk the path again with its last two vertices swapped, recolour one tail
+vertex and replay the rest of the path, or bend the tail around the
+blocker onto a partner corner of the crossing.
 
 Everything here punts (``RuleInapplicable``) rather than guessing when the
 geometry it expects is absent; the caller falls back to exhaustive search.
@@ -18,8 +20,7 @@ geometry it expects is absent; the caller falls back to exhaustive search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 from .errors import RuleInapplicable
 from .graphs import Graph, norm_edge
@@ -32,15 +33,16 @@ def _xset(inst: Instance) -> set[int]:
     return {v for e in cr.edges for v in e}
 
 
+def _partner(inst: Instance, v: int) -> int:
+    """The other endpoint of the crossed edge through ``v``."""
+    (cr,) = inst.crossings
+    e = cr.a if v in cr.a else cr.b
+    return e[0] if e[1] == v else e[1]
+
+
 def _soft_pair(inst: Instance, used: int) -> tuple[int, int]:
     a, b = (t for t in inst.triangle if t != used)
     return a, b
-
-
-def _residuals(inst: Instance, psi: Mapping[int, int]) -> dict[int, set]:
-    """``residual_lists`` as mutable sets, for the walk colouring to edit."""
-    res = residual_lists(inst.graph, inst.lists, psi)
-    return {v: set(L) for v, L in res.items()}
 
 
 def _finish(inst: Instance, psi: Mapping[int, int], used: int) -> Coloring | None:
@@ -111,11 +113,9 @@ def handle_T_near_X(inst: Instance) -> Coloring | None:
             if norm_edge(t, v1) in crossed:
                 continue
             far = cr.b if v1 in cr.a else cr.a
-            labelings = sorted(
-                ((v2, v4) for v2 in far for v4 in far if v4 != v2),
-                key=lambda p: (p[1] in g.adj_sets[t], p[0]),
-            )
-            for v2, _v4 in labelings:
+            for v2 in sorted(
+                far, key=lambda v2: (_partner(inst, v2) in g.adj_sets[t], v2)
+            ):
                 for c1 in sorted(set(inst.lists[v1]) - forbidden):
                     psi = dict(sigma)
                     psi[v1] = c1
@@ -189,8 +189,16 @@ def _lex_shortest(
     chord_to: int,
 ) -> list[int] | None:
     """Lexicographically smallest shortest source->target path on uncrossed
-    edges within ``allowed``, preferring (at equal length) paths whose
-    second-to-last vertex also sees ``chord_to``."""
+    edges within ``allowed`` (which holds ``target``), preferring (at equal
+    length) paths whose second-to-last vertex also sees ``chord_to``.
+
+    Distances run backwards from ``target``, once freely and once with the
+    first step limited to the neighbours that see ``chord_to``.  A vertex
+    lies on a shortest path exactly when each step lowers its distance by
+    one, so the walk starts at the least nearest source and keeps taking
+    the least neighbour one step closer.  The limited table is used when
+    some source is as near in it as in the free one.
+    """
     ok = set(allowed)
 
     def nbrs(v: int):
@@ -198,45 +206,31 @@ def _lex_shortest(
             u for u in g.adj[v] if u in ok and norm_edge(u, v) not in crossed
         ]
 
-    dist = {s: 0 for s in sources if s in ok}
-    frontier = sorted(dist)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in nbrs(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = sorted(set(nxt))
-    if target not in dist:
+    def distances(first: list[int]) -> dict[int, int]:
+        dist = {target: 0, **{u: 1 for u in first}}
+        frontier = first
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in nbrs(v):
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+    free = distances(nbrs(target))
+    reach = [free[s] for s in sources if s in free]
+    if not reach:
         return None
-    d = dist[target]
-
-    def build(require_chord: bool) -> list[int] | None:
-        # mark vertices from which target is reachable in exactly the
-        # remaining number of steps, honouring the chord requirement
-        layers: list[set] = [set() for _ in range(d + 1)]
-        layers[d] = {target}
-        for j in range(d - 1, -1, -1):
-            for v in (u for u in ok if dist.get(u) == j):
-                heads = layers[j + 1] & set(nbrs(v))
-                if not heads:
-                    continue
-                if require_chord and j == d - 1 and not g.has_edge(v, chord_to):
-                    continue
-                layers[j].add(v)
-        starts = sorted(layers[0] & sources)
-        if not starts:
-            return None
-        path = [starts[0]]
-        for j in range(1, d + 1):
-            step = sorted(layers[j] & set(nbrs(path[-1])))
-            if not step:
-                return None
-            path.append(step[0])
-        return path
-
-    return build(True) or build(False)
+    d = min(reach)
+    limited = distances([u for u in nbrs(target) if g.has_edge(u, chord_to)])
+    dist = limited if any(limited.get(s) == d for s in sources) else free
+    path = [min(s for s in sources if dist.get(s) == d)]
+    while path[-1] != target:
+        step = dist[path[-1]] - 1
+        path.append(min(u for u in nbrs(path[-1]) if dist.get(u) == step))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +312,7 @@ def color_along_path(
     # the unpinned corners count as coloured throughout, so nothing on the
     # path steals their pinned colours from under the closing extension
     psi: dict[int, int] = {t: min(inst.lists[t]) for t in inst.triangle}
-    live = _residuals(inst, psi)
+    live = residual_lists(g, inst.lists, psi)
 
     def paint(v: int, c: int) -> None:
         psi[v] = c
@@ -326,7 +320,7 @@ def color_along_path(
         for u in g.adj[v]:
             if u in live:
                 live[u].discard(c)
-        if live != _residuals(inst, psi):
+        if live != residual_lists(g, inst.lists, psi):
             raise AssertionError("incremental residuals drifted")
 
     forbidden = set().union(*(inst.lists[t] for t in inst.triangle))
@@ -376,30 +370,20 @@ def _hit(counters: dict[str, int], name: str) -> None:
 def resolve_blocked_endgame(
     inst: Instance, st: EndgameBlocked, counters: dict[str, int]
 ) -> Coloring | None:
-    """Work around a blocked last step.
+    """Work around a blocked last step, counting the escape that worked.
 
-    In order: swap the last two path vertices; recolour p_{k-2} away from
-    the blocker (freely when its list is still whole, otherwise from the
-    live difference); recolour p_{k-1} off the contested triple; reroute
-    the tail to the far partner corner; reroute over the chord to the near
-    partner corner.  None when every escape fails.
+    The escapes run in this order: swap the last two path vertices;
+    recolour p_{k-2} freely while the blocker's list is still whole
+    (``slack``), otherwise from its live colours minus the blocker's
+    (``offset``); recolour p_{k-1} off the contested triple
+    (``fresh_pair``); reroute the tail to the far partner corner
+    (``detour_far``); reroute over the chord to the near partner corner
+    (``detour_near``).  None when every escape fails.
     """
-    path = list(st.path)
-    k = len(path)
-
-    swapped = path[:-2] + [path[-1], path[-2]]
-    if inst.graph.has_edge(swapped[-3], swapped[-2]):
-        try:
-            res = color_along_path(inst, swapped)
-        except RuleInapplicable:
-            res = None
-        if isinstance(res, dict):
-            _hit(counters, "swapped")
-            return res
-
     for name, branch in (
-        ("slack", partial(_escape_recolor_k2, slack_only=True)),
-        ("offset", partial(_escape_recolor_k2, slack_only=False)),
+        ("swapped", _escape_swapped),
+        ("slack", _escape_slack),
+        ("offset", _escape_offset),
         ("fresh_pair", _escape_fresh_pair),
         ("detour_far", _escape_detour_far),
         ("detour_near", _escape_detour_near),
@@ -414,54 +398,51 @@ def resolve_blocked_endgame(
     return None
 
 
-def _escape_recolor_k2(
-    inst: Instance, st: EndgameBlocked, slack_only: bool
-) -> Coloring | None:
-    """Recolour p_{k-2} so the blocker keeps a colour p_k can take.
+def _escape_swapped(inst: Instance, st: EndgameBlocked) -> Coloring | None:
+    """Walk the path again with its last two vertices swapped."""
+    path = list(st.path)
+    path[-2:] = path[-1], path[-2]
+    if not inst.graph.has_edge(path[-3], path[-2]):
+        return None
+    res = color_along_path(inst, path)
+    return res if isinstance(res, dict) else None
 
-    slack_only handles the situation where the blocker's list is untouched
-    with p_{k-2} and p_{k-1} uncoloured (then any choice for p_{k-2} leaves
-    it a colour to spare); otherwise the colour must come from p_{k-2}'s
-    live set minus the blocker's, shifting their lists apart.
-    """
-    path, k = list(st.path), len(st.path)
-    pk2, pk1, pk = path[-3], path[-2], path[-1]
-    prefix = {v: c for v, c in st.psi.items() if v not in (pk2, pk1)}
-    live = _residuals(inst, prefix)
-    if slack_only:
-        if len(live[st.block]) != 5:
-            return None
-        options = sorted(live[pk2])
-    else:
-        options = sorted(live[pk2] - live[st.block])
-    for c in options:
-        psi = dict(prefix)
-        psi[pk2] = c
-        phi = _replay_tail(inst, st, psi, [pk1, pk])
-        if phi is not None:
-            return phi
-    return None
+
+def _escape_slack(inst: Instance, st: EndgameBlocked) -> Coloring | None:
+    """Recolour p_{k-2} freely when the blocker's list is untouched with
+    p_{k-2} and p_{k-1} uncoloured: any choice leaves it a colour to spare."""
+    return _recolor(
+        inst, st, -3, lambda live, v: live[v] if len(live[st.block]) == 5 else ()
+    )
+
+
+def _escape_offset(inst: Instance, st: EndgameBlocked) -> Coloring | None:
+    """Recolour p_{k-2} from its live colours minus the blocker's, shifting
+    their lists apart."""
+    return _recolor(inst, st, -3, lambda live, v: live[v] - live[st.block])
 
 
 def _escape_fresh_pair(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     """Recolour p_{k-1} off the contested triple so p_k escapes it."""
-    path = list(st.path)
-    pk1, pk = path[-2], path[-1]
-    prefix = {v: c for v, c in st.psi.items() if v != pk1}
-    live = _residuals(inst, prefix)
-    for c in sorted(live[pk1] - st.live):
-        psi = dict(prefix)
-        psi[pk1] = c
-        phi = _replay_tail(inst, st, psi, [pk])
+    return _recolor(inst, st, -2, lambda live, v: live[v] - st.live)
+
+
+def _recolor(
+    inst: Instance,
+    st: EndgameBlocked,
+    i: int,
+    pick: Callable[[dict[int, set], int], Collection[int]],
+) -> Coloring | None:
+    """Uncolour the path from index ``i`` on, give that vertex each colour
+    ``pick(live, vertex)`` allows in ascending order, and replay the rest."""
+    v, tail = st.path[i], list(st.path[i + 1 :])
+    prefix = {u: c for u, c in st.psi.items() if u not in st.path[i:]}
+    live = residual_lists(inst.graph, inst.lists, prefix)
+    for c in sorted(pick(live, v)):
+        phi = _replay_tail(inst, st, {**prefix, v: c}, tail)
         if phi is not None:
             return phi
     return None
-
-
-def _partner(inst: Instance, v: int) -> int:
-    (cr,) = inst.crossings
-    e = cr.a if v in cr.a else cr.b
-    return e[0] if e[1] == v else e[1]
 
 
 def _escape_detour_far(inst: Instance, st: EndgameBlocked) -> Coloring | None:
@@ -471,8 +452,7 @@ def _escape_detour_far(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     contested triple, so p_k and the blocker keep that triple intact as
     plain boundary vertices of the extension.
     """
-    path = list(st.path)
-    pk1, pk = path[-2], path[-1]
+    pk1, pk = st.path[-2:]
     zp = _partner(inst, pk)
     if not inst.graph.has_edge(pk1, zp):
         return None
@@ -486,8 +466,7 @@ def _escape_detour_near(inst: Instance, st: EndgameBlocked) -> Coloring | None:
     again and left to the extension; the tail colours must steer around
     both it and the blocker, which the replay's validation enforces.
     """
-    path = list(st.path)
-    pk2, pk1, pk = path[-3], path[-2], path[-1]
+    pk2, pk1, pk = st.path[-3:]
     z = _partner(inst, pk1)
     if not (inst.graph.has_edge(pk2, pk) and inst.graph.has_edge(pk, z)):
         return None
@@ -508,7 +487,7 @@ def _replay_tail(
     if not tail:
         return _finish(inst, psi, used=st.path[0])
     v, rest = tail[0], tail[1:]
-    live = _residuals(inst, psi)
+    live = residual_lists(inst.graph, inst.lists, psi)
     guard = live.get(st.block, set())
     for c in sorted(live[v], key=lambda c: (len(guard) <= 3 and c in guard, c)):
         psi[v] = c

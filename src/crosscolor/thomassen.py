@@ -351,14 +351,15 @@ class _Engine:
 
 def residual_lists(
     g: Graph, lists: Sequence[frozenset], psi: Mapping[int, int]
-) -> dict[int, frozenset]:
-    """Lists of G - dom(psi) after removing colours used next door."""
+) -> dict[int, set]:
+    """Lists of G - dom(psi) less the colours used next door, as fresh sets."""
     out = {}
     for v in range(g.n):
         if v in psi:
             continue
         drop = {psi[u] for u in g.adj[v] if u in psi}
-        out[v] = frozenset(lists[v]) - drop
+        out[v] = set(lists[v])
+        out[v] -= drop
     return out
 
 

@@ -15,7 +15,7 @@ import networkx as nx
 
 from crosscolor.endgame import (
     EndgameBlocked,
-    _escape_recolor_k2,
+    _escape_slack,
     color_along_path,
     endgame_color,
 )
@@ -310,7 +310,7 @@ def test_endgame_branches_all_reached():
         block=8,
         live=frozenset({2, 3, 4}),
     )
-    out = _escape_recolor_k2(wide, st, slack_only=True)
+    out = _escape_slack(wide, st)
     assert isinstance(out, dict)
     assert validate_coloring(wide.graph, wide.lists, out) == []
     covered.append("slack")

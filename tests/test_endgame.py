@@ -7,13 +7,15 @@ steer its blocked final step into each escape branch in turn.
 """
 
 import itertools
+import random
 
 import pytest
 
 import crosscolor.endgame as endgame_mod
 from crosscolor.endgame import (
     EndgameBlocked,
-    _escape_recolor_k2,
+    _escape_slack,
+    _lex_shortest,
     color_along_path,
     compute_g,
     endgame_color,
@@ -22,11 +24,12 @@ from crosscolor.endgame import (
 )
 from crosscolor.errors import RuleInapplicable
 from crosscolor.generate import GenSpec, gen_random_instance
-from crosscolor.graphs import norm_edge
-from crosscolor.instance import make_instance
+from crosscolor.graphs import Graph, norm_edge
+from crosscolor.instance import make_instance, parse_instance
 from crosscolor.oracle import validate_coloring
+from crosscolor.solver import solve
 
-from conftest import icosa_instance
+from conftest import FIXTURES, icosa_instance
 from test_drawing import run_under_python_O
 
 FIVE = [0, 1, 2, 3, 4]
@@ -190,6 +193,85 @@ def test_min_score_path_matches_exhaustive_search():
     assert checked >= 40
 
 
+def lex_shortest_reference(g, crossed, allowed, sources, target, chord_to):
+    """Layered reference for ``_lex_shortest`` (its earlier implementation).
+
+    A forward search from the sources gives each vertex its distance j;
+    layer j then keeps the vertices at forward distance j that reach
+    ``target`` through layers j+1, j+2, ... (the last one seeing
+    ``chord_to`` on the first try), and the path takes the least vertex of
+    each layer next to the previous one.
+    """
+    ok = set(allowed)
+
+    def nbrs(v):
+        return [
+            u for u in g.adj[v] if u in ok and norm_edge(u, v) not in crossed
+        ]
+
+    dist = {s: 0 for s in sources if s in ok}
+    frontier = sorted(dist)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in nbrs(v):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = sorted(set(nxt))
+    if target not in dist:
+        return None
+    d = dist[target]
+
+    def build(require_chord):
+        layers = [set() for _ in range(d + 1)]
+        layers[d] = {target}
+        for j in range(d - 1, -1, -1):
+            for v in (u for u in ok if dist.get(u) == j):
+                heads = layers[j + 1] & set(nbrs(v))
+                if not heads:
+                    continue
+                if require_chord and j == d - 1 and not g.has_edge(v, chord_to):
+                    continue
+                layers[j].add(v)
+        starts = sorted(layers[0] & sources)
+        if not starts:
+            return None
+        path = [starts[0]]
+        for j in range(1, d + 1):
+            step = sorted(layers[j] & set(nbrs(path[-1])))
+            if not step:
+                return None
+            path.append(step[0])
+        return path
+
+    return build(True) or build(False)
+
+
+def test_lex_shortest_matches_the_layered_reference():
+    rng = random.Random(0)
+    found = chorded = 0
+    for _ in range(3000):
+        n = rng.randint(2, 14)
+        p = rng.uniform(0.15, 0.6)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+        g = Graph.from_edges(n, edges)
+        crossed = {e for e in edges if rng.random() < 0.2}
+        target = rng.randrange(n)
+        allowed = [v for v in range(n) if v == target or rng.random() < 0.85]
+        sources = {v for v in range(n) if rng.random() < 0.25}
+        chord_to = rng.randrange(n)
+        args = (g, crossed, allowed, sources, target, chord_to)
+        got = _lex_shortest(*args)
+        assert got == lex_shortest_reference(*args), args
+        if got is not None:
+            found += 1
+            chorded += len(got) > 1 and g.has_edge(got[-2], chord_to)
+    assert found > 1500 and chorded > 500
+
+
 def test_no_path_without_an_uncrossed_corner_edge():
     # both corner-to-corner edges are the crossed ones, so no walk can land
     inst = make_instance(
@@ -302,6 +384,27 @@ def test_escape_branches(build, branch):
         assert out[t] == min(inst.lists[t])
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("geodesic_5of5_s0_path", {"path": 1}),
+        ("geodesic_5of5_s15_swapped", {"blocked": 1, "blocked_b3": 1, "swapped": 1}),
+        (
+            "geodesic_5of5_s56_detour_far",
+            {"blocked": 1, "blocked_b3": 1, "detour_far": 1},
+        ),
+    ],
+)
+def test_tight_lists_reach_the_endgame_through_solve(name, expected):
+    # 42-vertex geodesic drawings with 2 crossings and every list {0,...,4}:
+    # R8 fires once and its child is finished by the walk endgame
+    inst = parse_instance((FIXTURES / "endgame" / f"{name}.json").read_text())
+    phi, stats = solve(inst, use_fallback=False)
+    assert validate_coloring(inst.graph, inst.lists, phi) == []
+    assert stats.rules["R8"] == 1
+    assert stats.endgame == expected
+
+
 def nothing(*args, **kwargs):
     return None
 
@@ -323,7 +426,8 @@ GIVEUPS = [
         {
             name: nothing
             for name in (
-                "_escape_recolor_k2",
+                "_escape_slack",
+                "_escape_offset",
                 "_escape_fresh_pair",
                 "_escape_detour_far",
                 "_escape_detour_near",
@@ -361,7 +465,7 @@ def test_slack_escape_spends_a_wide_blocker():
         block=8,
         live=frozenset({2, 3, 4}),
     )
-    out = _escape_recolor_k2(inst, st, slack_only=True)
+    out = _escape_slack(inst, st)
     assert isinstance(out, dict)
     assert validate_coloring(inst.graph, inst.lists, out) == []
 
@@ -377,13 +481,13 @@ inst = make_instance(
     8, edges, {0: [9], 1: [10], 2: [11], **{v: five for v in range(3, 8)}},
     crossings=[((4, 6), (5, 7))], triangle=(0, 1, 2),
 )
-plain = endgame._residuals
+plain = endgame.residual_lists
 for path, residuals in (
     ([3, 4, 5], plain),
     # the recount after the first paint disagrees with the running lists
-    ([0, 3, 4, 5], lambda inst, psi: {} if len(psi) > 3 else plain(inst, psi)),
+    ([0, 3, 4, 5], lambda g, lists, psi: {} if len(psi) > 3 else plain(g, lists, psi)),
 ):
-    endgame._residuals = residuals
+    endgame.residual_lists = residuals
     try:
         endgame.color_along_path(inst, path)
     except AssertionError as e:

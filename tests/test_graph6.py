@@ -1,5 +1,7 @@
 """graph6 codec round-trips and hand-decoded anchors."""
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
@@ -31,6 +33,21 @@ def test_k4():
     # independent decoder sees the same graph
     h = nx.from_graph6_bytes(code)
     assert set(h.edges()) == set(k4.edges)
+
+
+@pytest.mark.parametrize("n, header", [(63, b"~??~"), (100, b"~?@c")])
+def test_long_form_round_trip(n, header):
+    # n > 62 takes the 4-byte form: '~' then n in three 6-bit bytes
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.1])
+    code = emit_graph6(g)
+    assert code[:4] == header
+    assert len(code) == 4 + (len(pairs) + 5) // 6
+    back = parse_graph6(code)
+    assert back.n == n and back.edges == g.edges
+    h = nx.from_graph6_bytes(code)
+    assert {tuple(sorted(e)) for e in h.edges()} == set(g.edges)
 
 
 @pytest.mark.parametrize(

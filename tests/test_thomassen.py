@@ -44,6 +44,17 @@ def test_single_edge():
     assert thomassen_color(task) == {0: 1, 1: 2}
 
 
+def test_components_away_from_the_pair_are_coloured_too():
+    # triangle 0-1-2 holds the pair; a K4, a lone vertex and an edge float free
+    k4 = [(a, b) for a in range(3, 7) for b in range(a + 1, 7)]
+    edges = [(0, 1), (1, 2), (0, 2), *k4, (8, 9)]
+    lists = [set(range(v % 3, v % 3 + 5)) for v in range(10)]
+    task = simple_task(10, edges, lists, 0, 1)
+    phi = thomassen_color(task)
+    assert sorted(phi) == list(range(10))
+    assert validate_coloring(task.graph, task.lists, phi) == []
+
+
 def test_triangle_forced_third_color():
     task = simple_task(3, [(0, 1), (1, 2), (0, 2)], [{1}, {2}, {1, 2, 3}], 0, 1)
     assert thomassen_color(task)[2] == 3
