@@ -11,7 +11,8 @@ The generated instances are stacked triangulations, which always keep a
 vertex of degree 3, so they reach no endgame: all 500 solves of the
 second example end by reduction, with R1 only, and ``--crossings 2``
 does the same.  For the endgame, use the
-``geodesic-5of5`` corpus of ``scripts/solve_digest.py``.
+``geodesic-5of5`` corpus of ``scripts/solve_digest.py``.  ``--triangle``
+goes with at most one crossing: no instance pins a triangle next to two.
 
 Run from the root of a checkout, or drop ``PYTHONPATH=src`` after
 ``pip install -e .``.
@@ -38,6 +39,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed0", type=int, default=0)
     ap.add_argument("--no-fallback", action="store_true")
     args = ap.parse_args(argv)
+    if args.triangle and args.crossings > 1:
+        # every draw would be refused, and the loop would never finish
+        ap.error("--triangle goes with at most one crossing")
 
     routes = collections.Counter()
     rules = collections.Counter()

@@ -19,6 +19,10 @@ the colouring (as ``(vertex, colour)`` pairs in dict order) and
   step, its ``swapped`` and ``detour_far`` escapes and the exhaustive
   fallback (seeds 40, 41, 104, 128, 140 and 149 fall back, each after
   ``giveup.path_punt``).  It takes about 2 s.
+* ``geodesic-162``: the 162-vertex geodesic drawing
+  (``corpora.geodesic_faces(2)``) with 2 crossings, seeds 0-9.  At this
+  size a per-vertex 2-cut scan would dominate each solve, so the corpus
+  pins the rule scan where it costs the most.  It takes about 0.4 s.
 
 Run from anywhere; the package and the generators are imported from the
 checkout that holds this script:
@@ -45,6 +49,7 @@ from crosscolor.solver import solve  # noqa: E402
 GEN_SEEDS = range(40)
 BENCH_INPUTS = 30
 TIGHT_SEEDS = range(150)
+LARGE_INPUTS = 10
 
 
 def fixtures():
@@ -58,8 +63,8 @@ def generated(crossings: int, triangle: bool):
         yield gen_random_instance(spec)
 
 
-def drawings(make):
-    for i in range(BENCH_INPUTS):
+def drawings(make, count=BENCH_INPUTS):
+    for i in range(count):
         d = make(random.Random(i))
         yield make_instance(d.n, d.edges, d.lists, crossings=d.crossings)
 
@@ -86,6 +91,7 @@ def digest(instances) -> tuple[int, str]:
 
 def main() -> int:
     geodesic = corpora.geodesic_faces(1)
+    geodesic162 = corpora.geodesic_faces(2)
     corpus = {
         "fixtures": fixtures(),
         "gen-0x": generated(0, False),
@@ -94,6 +100,9 @@ def main() -> int:
         "stacked-2x": drawings(lambda rng: corpora.stacked_drawing(rng, 50, 2)),
         "geodesic-2x": drawings(lambda rng: corpora.geodesic_drawing(rng, geodesic, 2)),
         "geodesic-5of5": tight_geodesic(),
+        "geodesic-162": drawings(
+            lambda rng: corpora.geodesic_drawing(rng, geodesic162, 2), LARGE_INPUTS
+        ),
     }
     for name, instances in corpus.items():
         count, hexdigest = digest(instances)

@@ -26,7 +26,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .drawing import CrossingPair, cycle_sides
+from .drawing import CrossingPair, PlaneGraph, cycle_sides
 from .errors import CycleSidesError, InvalidColoringError, RuleInapplicable
 from .graphs import Graph, articulation, components, norm_edge
 from .instance import Coloring, Instance, induced_instance, make_instance
@@ -462,8 +462,54 @@ def _bounds_face(rotation: Rotation, ring: Sequence[int]) -> bool:
 
 
 def _r5_two_cut(inst: Instance) -> Iterator[ReductionStep]:
+    """One candidate per 2-cut of G, none at all when the drawing rules them out.
+
+    A drawing that passes :func:`_no_two_cut` skips the scan; any other
+    goes through :func:`_two_cuts`.
+    """
+    if _no_two_cut(inst.plane):
+        return
     for u, v, comps in _two_cuts(inst.graph):
         yield ReductionStep("R5", (u, v), partial(_r5_run, inst, u, v, comps))
+
+
+def _no_two_cut(pg: PlaneGraph) -> bool:
+    """Whether the drawing alone shows that G has no 2-vertex cut.
+
+    It does when the planarization P has ``n >= 4`` and ``m = 3n - 6``,
+    every dummy's four neighbours are real, and every dummy's row
+    alternates its two curves.  All three are needed:
+
+    1. P is simple and plane, so ``m = 3n - 6`` makes it a connected
+       triangulation, and a triangulation on 4 or more vertices is
+       3-connected.
+    2. Any two neighbours of a dummy are adjacent in G.  On one curve they
+       are the ends of the crossed edge.  On different curves they are
+       consecutive in the alternating row, so a face triangle of P joins
+       them; that triangle edge joins two real vertices, so it is an
+       uncrossed edge of G.
+    3. Take any S with ``|S| <= 2``.  P - S is connected, and each pass
+       ``p, d, q`` of a path through a dummy d can be replaced by the edge
+       pq of G, so G - S is connected too.
+
+    A dummy whose curves touch instead, row ``(a, b, c, e)`` with curves
+    ab and ce, can leave ``{b, e}`` as a 2-cut of G, so the alternation is
+    checked here rather than taken from the embedder.  Costs O(1) per
+    dummy once P's edge count is known.
+    """
+    p = pg.planar
+    if p.n < 4 or p.m != 3 * p.n - 6:
+        return False
+    for i, cr in enumerate(pg.crossings):
+        # opposite slots hold the ends of one crossed edge; those ends are
+        # real, so this also keeps every dummy's neighbours real
+        row = pg.rotation[pg.dummy(i)]
+        if len(row) != 4 or {
+            norm_edge(row[0], row[2]),
+            norm_edge(row[1], row[3]),
+        } != set(cr.edges):
+            return False
+    return True
 
 
 def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
@@ -471,8 +517,9 @@ def _two_cuts(g: Graph) -> Iterator[tuple[int, int, list[list[int]]]]:
 
     One articulation pass per u settles every v: ``{u, v}`` cuts G exactly
     when G - u has three or more components, or two of which ``{v}`` is not
-    one, or is connected and has v as a cut vertex.  That is O(n·m) in all;
-    components are listed only for the pairs that cut.
+    one, or is connected and has v as a cut vertex.  That is O(n·m) in all,
+    which is why R5 first asks :func:`_no_two_cut`; components are listed
+    only for the pairs that cut.
     """
     if g.n < 4:
         return

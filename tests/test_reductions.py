@@ -6,19 +6,26 @@ tested in isolation.  Geometric punts (RuleInapplicable) are checked where
 the precondition is cheap to stage.
 """
 
+import pathlib
+import random
+import sys
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
 import crosscolor.reductions as reductions
-from crosscolor.drawing import cycle_sides
+from crosscolor.drawing import CrossingPair, PlaneGraph, cycle_sides
 from crosscolor.errors import RuleInapplicable
 from crosscolor.generate import GenSpec, gen_random_instance
 from crosscolor.graphs import Graph, articulation
-from crosscolor.instance import make_instance, parse_instance
+from crosscolor.instance import induced_instance, make_instance, parse_instance
 from crosscolor.oracle import exact_list_color, validate_coloring
+from crosscolor.planarity import try_embedding
 from crosscolor.reductions import (
     ReductionStep,
     _bounds_face,
+    _no_two_cut,
+    _r5_two_cut,
     _two_cuts,
     components_without,
     crossing_gadget,
@@ -29,6 +36,10 @@ from crosscolor.reductions import (
 from crosscolor.solver import solve
 
 from conftest import ICOSA_EDGES, icosa_instance
+
+# the benchmark's generators, read-only
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+import corpora  # noqa: E402
 
 FIVE = [0, 1, 2, 3, 4]
 
@@ -633,6 +644,74 @@ def test_two_cut_scan_matches_the_pair_loop_on_stacked_drawings(seed, n, k):
     assert list(_two_cuts(h)) == list(r5_reference(h))
 
 
+def drawn_instance(source, seed, n, k):
+    if source == "generate":
+        return gen_random_instance(GenSpec(n=n, crossings=k, seed=seed))
+    d = corpora.stacked_drawing(random.Random(seed), n, k)
+    return make_instance(d.n, d.edges, d.lists, crossings=d.crossings)
+
+
+@given(
+    st.sampled_from(["generate", "stacked"]),
+    st.integers(0, 10**6),
+    st.integers(4, 30),
+    st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_drawing_that_rules_out_two_cuts_has_none(source, seed, n, k):
+    try:
+        inst = drawn_instance(source, seed, n, k)
+    except ValueError:
+        return
+    # both generators draw crossings through two face triangles
+    assert _no_two_cut(inst.plane)
+    child, _ = induced_instance(inst, [v for v in range(n) if v != seed % n])
+    for x in (inst, child):
+        if _no_two_cut(x.plane):
+            assert list(r5_reference(x.graph)) == []
+            assert list(_r5_two_cut(x)) == []
+
+
+def test_no_two_cut_declines_a_deletion_child_of_a_triangulation():
+    inst = gen_random_instance(GenSpec(n=16, seed=4))
+    assert _no_two_cut(inst.plane)
+    child, _ = induced_instance(inst, range(1, 16))
+    assert not _no_two_cut(child.plane)
+    # vertex 0's link is left with cut pairs
+    assert list(r5_reference(child.graph))
+
+
+def test_no_two_cut_declines_an_edge_crossed_twice():
+    pg = chords_sharing_a_corner().plane
+    assert pg.planar.has_edge(pg.dummy(0), pg.dummy(1))
+    assert not _no_two_cut(pg)
+
+
+def test_no_two_cut_declines_a_dummy_whose_curves_touch():
+    # K5 minus 02 is a triangulation; its vertex 4 stands in for the point
+    # where edges 01 and 23 touch, so its row reads 0, 1, 2, 3 in turn
+    planar = Graph.from_edges(
+        5, [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (0, 2)]
+    )
+    real = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
+    pg = PlaneGraph(
+        real, planar, try_embedding(planar), (CrossingPair.make((0, 1), (2, 3)),)
+    )
+    assert planar.m == 3 * planar.n - 6
+    assert not _no_two_cut(pg)
+    # {1, 3} cuts G, though P has no 2-cut
+    assert list(r5_reference(real)) == [(1, 3, [[0], [2]])]
+
+
+def test_no_two_cut_needs_four_vertices():
+    k3 = make_instance(3, [(0, 1), (1, 2), (0, 2)], {v: FIVE for v in range(3)})
+    k4_edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    k4 = make_instance(4, k4_edges, {v: FIVE for v in range(4)})
+    assert k3.plane.planar.m == 3 * 3 - 6
+    assert not _no_two_cut(k3.plane)
+    assert _no_two_cut(k4.plane)
+
+
 def assert_facial_rings_are_the_non_separating_ones(inst):
     pg = inst.plane
     rings = [s.params for s in iter_reduction_steps(inst) if s.rule in ("R4", "R6")]
@@ -666,8 +745,9 @@ def test_facial_check_agrees_with_cycle_sides_on_stacked_drawings(seed, n, k):
 
 def test_icosahedron_solve_skips_pair_searches_and_facial_rings(monkeypatch):
     inst = icosa_instance(ICOSA_TWO_CROSSINGS)
-    pair_calls, side_calls = [], []
+    pair_calls, side_calls, skip_calls = [], [], []
     real_without, real_sides = reductions.components_without, reductions.cycle_sides
+    real_articulation = reductions.articulation
 
     def counted_without(g, removed):
         pair_calls.append(removed)
@@ -677,12 +757,20 @@ def test_icosahedron_solve_skips_pair_searches_and_facial_rings(monkeypatch):
         side_calls.append((rotation, tuple(cycle)))
         return real_sides(planar, rotation, cycle)
 
+    def counted_articulation(g, skip=None, **kw):
+        if skip is not None:
+            skip_calls.append(skip)
+        return real_articulation(g, skip, **kw)
+
     monkeypatch.setattr(reductions, "components_without", counted_without)
     monkeypatch.setattr(reductions, "cycle_sides", counted_sides)
+    monkeypatch.setattr(reductions, "articulation", counted_articulation)
     phi, stats = solve(inst)
     assert validate_coloring(inst.graph, inst.lists, phi) == []
     assert stats.rules["R8"] == 1
     assert pair_calls == []
+    # every drawing the scan sees is triangulated, so R5 makes no 2-cut pass
+    assert skip_calls == []
     # each side split is of a ring that does not bound a face, at most once
     assert side_calls
     assert not any(_bounds_face(rot, cyc) for rot, cyc in side_calls)

@@ -373,6 +373,64 @@ def test_forced_pair_carries_singletons():
     assert validate_coloring(g, lists, phi) == []
 
 
+def short_lists(g, short):
+    """Five colours everywhere except the vertices named in ``short``."""
+    return [frozenset(short.get(v, range(5))) for v in range(g.n)]
+
+
+def small_vertices(g, count, adjacent):
+    """``count`` vertices of ``g``, the first two adjacent or not as asked."""
+    u, v = next(
+        (a, b)
+        for a in range(g.n)
+        for b in range(a + 1, g.n)
+        if g.has_edge(a, b) == adjacent
+    )
+    rest = [w for w in range(g.n) if w not in (u, v)]
+    return [u, v, *rest[: count - 2]]
+
+
+def test_three_small_vertices_decline():
+    pg = tri_plane(10, seed=2)
+    a, b, c = small_vertices(pg.real, 3, adjacent=True)
+    lists = short_lists(pg.real, {a: {0, 1}, b: {0, 1}, c: {0, 1}})
+    assert check_observation_preconditions(pg, lists, {}) == [
+        ("too-many-small", max(a, b, c))
+    ]
+    assert observation_extend(pg, lists, {}) is None
+
+
+def test_two_small_vertices_must_be_adjacent():
+    pg = tri_plane(10, seed=2)
+    a, b = small_vertices(pg.real, 2, adjacent=False)
+    lists = short_lists(pg.real, {a: {0, 1}, b: {0, 1}})
+    assert check_observation_preconditions(pg, lists, {}) == [
+        ("small-pair-not-adjacent", a)
+    ]
+    assert observation_extend(pg, lists, {}) is None
+
+
+def test_two_small_vertices_with_one_equal_colour_decline():
+    pg = tri_plane(10, seed=2)
+    a, b = small_vertices(pg.real, 2, adjacent=True)
+    lists = short_lists(pg.real, {a: {3}, b: {3}})
+    assert check_observation_preconditions(pg, lists, {}) == [
+        ("small-pair-equal-singletons", a)
+    ]
+    assert observation_extend(pg, lists, {}) is None
+
+
+@pytest.mark.parametrize("short", [({0, 1}, {0, 1}), ({2}, {0, 2})])
+def test_two_adjacent_small_vertices_become_the_pair(short):
+    pg = tri_plane(10, seed=2)
+    a, b = small_vertices(pg.real, 2, adjacent=True)
+    lists = short_lists(pg.real, {a: short[0], b: short[1]})
+    assert check_observation_preconditions(pg, lists, {}) == []
+    phi = observation_extend(pg, lists, {})
+    assert phi is not None
+    assert validate_coloring(pg.real, lists, phi) == []
+
+
 def test_pair_must_be_free_and_adjacent():
     pg = tri_plane(10, seed=2)
     lists = [frozenset(range(5))] * 10
